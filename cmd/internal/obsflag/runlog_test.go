@@ -368,8 +368,8 @@ func TestMeterRestoredCells(t *testing.T) {
 	if rl.restored != 3 || rl.done != 3 {
 		t.Fatalf("restored=%d done=%d, want 3/3", rl.restored, rl.done)
 	}
-	if got := rl.p50.Value(); got != 0 {
-		t.Fatalf("restored wall times leaked into the quantiles: p50=%v", got)
+	if n := rl.wall.N(); n != 0 {
+		t.Fatalf("restored wall times leaked into the quantiles: %d observations", n)
 	}
 	// Only the first cell beat the redraw throttle; it already carries the
 	// restored count and — crucially — no rate line.

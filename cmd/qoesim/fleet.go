@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"mobileqoe/cmd/internal/obsflag"
+	"mobileqoe/internal/engine"
 	"mobileqoe/internal/fleet"
-	"mobileqoe/internal/runlog"
 )
 
 // Exit codes for -fleet. 0 and 1 mean what they mean everywhere in qoesim;
@@ -23,80 +23,75 @@ const (
 
 // fleetOpts carries the -fleet flag group into runFleet, which is kept free
 // of flag.* and os.Exit so tests can drive it in-process (including the
-// real-signal interrupt test).
+// real-signal interrupt test). The embedded supervisor options carry
+// -parallel, -retries, -shard-timeout and -fleet-stop-after straight to
+// the executor.
 type fleetOpts struct {
-	specPath     string
-	checkpoint   string
-	resume       bool
-	shards       int // -fleet-shards override (0: spec value / manifest on resume)
-	stopAfter    int // -fleet-stop-after: deterministic self-interrupt for CI
-	shardTimeout time.Duration
-	parallel     int
-	retries      int
-	timeout      time.Duration
-	csv          bool
-	rlf          *obsflag.RunLogFlags
+	fleet.Options
+	specPath   string
+	checkpoint string
+	resume     bool
+	shards     int // -fleet-shards override (0: spec value / manifest on resume)
+	timeout    time.Duration
+	csv        bool
+	rlf        *obsflag.RunLogFlags
 
 	stdout, stderr io.Writer
 }
 
-// runFleet executes one fleet run end to end: load and (re)validate the
-// spec, create or reopen the checkpoint, supervise the shards with
-// interrupt handling, and either print the merged table (complete) or a
-// resume hint (interrupted).
+// runFleet executes one fleet run end to end through the engine's fleet
+// executor — the same one qoesimd jobs use — and owns only what is the
+// CLI's: signal handling, exit codes, and the stderr messages. It prints
+// either the merged table (complete) or a resume hint (interrupted).
 func runFleet(parent context.Context, o fleetOpts) int {
 	if o.checkpoint == "" {
 		fmt.Fprintln(o.stderr, "qoesim: -fleet requires -checkpoint <dir> (every fleet run is resumable)")
 		return exitUsage
 	}
-	spec, err := fleet.Load(o.specPath)
+	plan, err := engine.Compose(engine.Request{FleetPath: o.specPath, CSV: o.csv},
+		engine.ComposeOptions{AllowLocalFiles: true})
 	if err != nil {
 		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
 		return exitUsage
 	}
-	if o.shards > 0 {
-		spec.Shards = o.shards
-	}
-	if o.resume && o.shards == 0 {
-		// A prior -fleet-shards override is recorded in the manifest; adopt
-		// it so plain -resume continues the original partition.
-		m, merr := fleet.ReadManifest(o.checkpoint)
-		if merr != nil {
-			fmt.Fprintf(o.stderr, "qoesim: %v\n", merr)
-			return exitFailed
+	spec := plan.FleetSpec
+	// One runlog cell per shard, in shard order; restored cells carry
+	// Restored so readers and the ETA meter can tell replay from work.
+	var rl *obsflag.RunLog
+	o.Stream = func(ev fleet.Event) { rl.Cell(ev.Cell(spec)) }
+	if !o.rlf.Progress.Enabled() {
+		o.Progress = func(ev fleet.Event) {
+			if ev.Total <= 1 {
+				return
+			}
+			status := ""
+			switch {
+			case ev.Err != nil:
+				status = " error: " + ev.Err.Error()
+			case ev.Restored:
+				status = " (restored)"
+			}
+			fmt.Fprintf(o.stderr, "qoesim: [%d/%d] shard %d tuples [%d,%d) (%v)%s\n",
+				ev.Done, ev.Total, ev.Shard, ev.Start, ev.End,
+				ev.Elapsed.Round(time.Millisecond), status)
 		}
-		spec.Shards = m.Shards
 	}
-	if err := spec.Validate(); err != nil {
+	fr, err := engine.NewFleetRun(plan, o.shards, o.Options)
+	if err != nil {
 		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
 		return exitUsage
 	}
-
-	var cp *fleet.Checkpoint
-	var restored map[int]*fleet.ShardResult
+	restored, warnings, err := fr.OpenCheckpoint(o.checkpoint, o.resume)
+	if err != nil {
+		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
+		return exitFailed
+	}
 	if o.resume {
-		var warnings []string
-		cp, restored, warnings, err = fleet.Open(o.checkpoint, spec)
-		if err != nil {
-			fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
-			return exitFailed
-		}
 		for _, w := range warnings {
 			fmt.Fprintf(o.stderr, "qoesim: checkpoint: %s\n", w)
 		}
 		fmt.Fprintf(o.stderr, "qoesim: resuming fleet %s: %d/%d shards restored from %s\n",
-			spec.Name, len(restored), spec.Shards, o.checkpoint)
-	} else {
-		cp, err = fleet.Create(o.checkpoint, spec)
-		if err != nil {
-			fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
-			return exitFailed
-		}
-	}
-	r, err := spec.Compile()
-	if err != nil {
-		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
-		return exitUsage
+			spec.Name, restored, spec.Shards, o.checkpoint)
 	}
 
 	// First signal cancels the run context: the supervisor aborts between
@@ -112,85 +107,22 @@ func runFleet(parent context.Context, o fleetOpts) int {
 		defer cancel()
 	}
 
-	manifest := runlog.Manifest{
-		Experiments:    []string{"fleet:" + spec.Name},
-		Seed:           spec.Seed,
-		SeedSchedule:   fleet.SeedScheduleDoc,
-		Trials:         1,
-		Parallel:       o.parallel,
-		Scenario:       o.specPath,
-		ScenarioSHA256: spec.SourceSHA256,
-	}
-	rl, err := o.rlf.Start("qoesim", spec.Shards, manifest)
+	manifest := plan.Manifest
+	manifest.Parallel = o.Parallel
+	rl, err = o.rlf.Start("qoesim", spec.Shards, manifest)
 	if err != nil {
 		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
 		return exitFailed
 	}
 
-	var progress func(fleet.Event)
-	if spec.Shards > 1 && !o.rlf.Progress.Enabled() {
-		progress = func(ev fleet.Event) {
-			status := ""
-			switch {
-			case ev.Err != nil:
-				status = " error: " + ev.Err.Error()
-			case ev.Restored:
-				status = " (restored)"
-			}
-			fmt.Fprintf(o.stderr, "qoesim: [%d/%d] shard %d tuples [%d,%d) (%v)%s\n",
-				ev.Done, ev.Total, ev.Shard, ev.Start, ev.End,
-				ev.Elapsed.Round(time.Millisecond), status)
-		}
-	}
-	opts := fleet.Options{
-		Parallel:     o.parallel,
-		ShardTimeout: o.shardTimeout,
-		Retries:      o.retries,
-		StopAfter:    o.stopAfter,
-		OnComplete:   cp.WriteShard,
-		Progress:     progress,
-	}
-	if rl != nil {
-		// One runlog cell per shard, delivered in shard order (Schema 2:
-		// restored cells carry Restored so readers and the ETA meter can
-		// tell replay from fresh execution).
-		opts.Stream = func(ev fleet.Event) {
-			c := runlog.Cell{
-				Index:    ev.Shard,
-				ID:       "fleet:" + spec.Name,
-				Trial:    ev.Shard,
-				Seed:     fleet.TupleSeed(spec.Seed, uint64(ev.Start)),
-				Attempt:  ev.Attempt,
-				Status:   "ok",
-				WallMS:   float64(ev.Elapsed) / float64(time.Millisecond),
-				Restored: ev.Restored,
-			}
-			if ev.Restored && ev.Result != nil {
-				c.WallMS = ev.Result.WallMS // wall time from the original process
-			}
-			if ev.Err != nil {
-				c.Status = "error"
-				c.ErrorClass = runlog.ClassifyError(ev.Err)
-				c.Error = ev.Err.Error()
-			}
-			rl.Cell(c)
-		}
-	}
-	if err := cp.WriteState(fleet.RunState{Status: "running", Restored: len(restored)}); err != nil {
+	start := time.Now()
+	res, err := fr.Execute(ctx)
+	if res == nil {
 		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
 		return exitFailed
 	}
-
-	start := time.Now()
-	res := fleet.Run(ctx, r, restored, opts)
-
-	state := fleet.RunState{
-		Completed: res.Completed, Restored: res.Restored,
-		Failed: res.Failed, Skipped: res.Skipped,
-	}
 	if res.Interrupted {
-		state.Status = "interrupted"
-		if err := cp.WriteState(state); err != nil {
+		if err != nil {
 			fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
 		}
 		if cerr := rl.CloseTruncated(); cerr != nil {
@@ -204,7 +136,6 @@ func runFleet(parent context.Context, o fleetOpts) int {
 
 	exit := exitOK
 	if res.Failed > 0 || res.Skipped > 0 {
-		state.Status = "failed"
 		for _, f := range res.Failures {
 			fmt.Fprintf(o.stderr, "qoesim: fleet shard %d failed after %d attempts: %v\n", f.Shard, f.Attempts, f.Err)
 		}
@@ -212,14 +143,8 @@ func runFleet(parent context.Context, o fleetOpts) int {
 			fmt.Fprintf(o.stderr, "qoesim: fleet: %d shards skipped by the circuit breaker\n", res.Skipped)
 		}
 		exit = exitFailed
-	} else {
-		state.Status = "complete"
-		if err := cp.WriteFinal(res.Merged); err != nil {
-			fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
-			exit = exitFailed
-		}
 	}
-	if err := cp.WriteState(state); err != nil {
+	if err != nil {
 		fmt.Fprintf(o.stderr, "qoesim: %v\n", err)
 		exit = exitFailed
 	}
@@ -227,14 +152,7 @@ func runFleet(parent context.Context, o fleetOpts) int {
 		fmt.Fprintf(o.stderr, "qoesim: runlog: %v\n", cerr)
 		exit = exitFailed
 	}
-
-	table := res.Merged.Table(spec)
-	if o.csv {
-		fmt.Fprint(o.stdout, table.CSV())
-	} else {
-		fmt.Fprint(o.stdout, table.String())
-		fmt.Fprintln(o.stdout)
-	}
+	o.stdout.Write(fr.Render(res, o.csv))
 	fmt.Fprintf(o.stderr, "qoesim: fleet %s: %d tuples across %d shards (%d restored) in %v\n",
 		spec.Name, res.Merged.Tuples, spec.Shards, res.Restored,
 		time.Since(start).Round(time.Millisecond))

@@ -82,13 +82,13 @@ func TestFleetStopAfterResumeByteIdentical(t *testing.T) {
 	spec := writeFleetSpec(t, dir, 30)
 
 	ckBase := filepath.Join(dir, "ck-base")
-	code, baseOut, stderr := runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ckBase, shards: 1, parallel: 1})
+	code, baseOut, stderr := runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ckBase, shards: 1, Options: fleet.Options{Parallel: 1}})
 	if code != exitOK {
 		t.Fatalf("baseline run: code=%d stderr=%s", code, stderr)
 	}
 
 	ck := filepath.Join(dir, "ck")
-	code, _, stderr = runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ck, shards: 6, parallel: 1, stopAfter: 2})
+	code, _, stderr = runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ck, shards: 6, Options: fleet.Options{Parallel: 1, StopAfter: 2}})
 	if code != exitInterrupted {
 		t.Fatalf("interrupted run: code=%d, want %d; stderr=%s", code, exitInterrupted, stderr)
 	}
@@ -104,7 +104,7 @@ func TestFleetStopAfterResumeByteIdentical(t *testing.T) {
 	}
 
 	// Resume adopts the manifest's partition without -fleet-shards.
-	code, resumedOut, stderr := runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ck, resume: true, parallel: 2})
+	code, resumedOut, stderr := runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ck, resume: true, Options: fleet.Options{Parallel: 2}})
 	if code != exitOK {
 		t.Fatalf("resume: code=%d stderr=%s", code, stderr)
 	}
@@ -151,7 +151,7 @@ func TestFleetSIGINT(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
 		code, _, _ := runFleetCLI(t, fleetOpts{
-			specPath: spec, checkpoint: ck, shards: 100, parallel: 2,
+			specPath: spec, checkpoint: ck, shards: 100, Options: fleet.Options{Parallel: 2},
 			rlf: &obsflag.RunLogFlags{Out: logPath},
 		})
 		done <- code
@@ -212,12 +212,12 @@ func TestFleetSIGINT(t *testing.T) {
 	}
 
 	// And the run is resumable to the byte-identical answer.
-	code, resumedOut, stderr := runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ck, resume: true, parallel: 4})
+	code, resumedOut, stderr := runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ck, resume: true, Options: fleet.Options{Parallel: 4}})
 	if code != exitOK {
 		t.Fatalf("resume after SIGINT: code=%d stderr=%s", code, stderr)
 	}
 	ckBase := filepath.Join(dir, "ck-base")
-	code, baseOut, _ := runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ckBase, shards: 100, parallel: 4})
+	code, baseOut, _ := runFleetCLI(t, fleetOpts{specPath: spec, checkpoint: ckBase, shards: 100, Options: fleet.Options{Parallel: 4}})
 	if code != exitOK {
 		t.Fatalf("baseline after SIGINT: code=%d", code)
 	}

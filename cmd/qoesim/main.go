@@ -55,6 +55,7 @@ import (
 	"mobileqoe/internal/atomicfile"
 	"mobileqoe/internal/engine"
 	"mobileqoe/internal/experiments"
+	"mobileqoe/internal/fleet"
 	"mobileqoe/internal/profile"
 	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/runner"
@@ -256,19 +257,21 @@ func realMain() int {
 			return 2
 		}
 		return runFleet(context.Background(), fleetOpts{
-			specPath:     *flSpec,
-			checkpoint:   *flCkpt,
-			resume:       *flResume,
-			shards:       *flShards,
-			stopAfter:    *flStop,
-			shardTimeout: *flShardT,
-			parallel:     *parallel,
-			retries:      *retries,
-			timeout:      *timeout,
-			csv:          *csv,
-			rlf:          rlf,
-			stdout:       os.Stdout,
-			stderr:       os.Stderr,
+			Options: fleet.Options{
+				Parallel:     *parallel,
+				Retries:      *retries,
+				ShardTimeout: *flShardT,
+				StopAfter:    *flStop,
+			},
+			specPath:   *flSpec,
+			checkpoint: *flCkpt,
+			resume:     *flResume,
+			shards:     *flShards,
+			timeout:    *timeout,
+			csv:        *csv,
+			rlf:        rlf,
+			stdout:     os.Stdout,
+			stderr:     os.Stderr,
 		})
 	}
 	if *flCkpt != "" || *flResume || *flShards > 0 || *flStop > 0 || *flShardT > 0 {

@@ -27,6 +27,7 @@ import (
 
 	"mobileqoe/internal/buildinfo"
 	"mobileqoe/internal/cache"
+	"mobileqoe/internal/experiments"
 	"mobileqoe/internal/fleet"
 	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/runner"
@@ -43,11 +44,11 @@ type ExecOpts struct {
 }
 
 // ExecutePlan runs a composed experiment/scenario plan on the worker pool.
-// Fleet plans execute through Engine (they need the fleet supervisor);
+// Fleet plans execute through NewFleetRun (they need the fleet supervisor);
 // passing one here is an error.
 func ExecutePlan(ctx context.Context, p *Plan, opts ExecOpts) ([]runner.Result, error) {
 	if p.Kind == "fleet" {
-		return nil, errors.New("engine: fleet plans execute through Engine.Run, not ExecutePlan")
+		return nil, errors.New("engine: fleet plans execute through NewFleetRun, not ExecutePlan")
 	}
 	return runner.Run(ctx, p.IDs, p.Cfg, runner.Options{
 		Parallel: opts.Parallel,
@@ -70,17 +71,19 @@ func RenderResults(results []runner.Result, csv bool) ([]byte, error) {
 		if r.Err != nil && firstErr == nil {
 			firstErr = r.Err
 		}
-		if r.Table == nil {
-			continue
-		}
-		if csv {
-			out = append(out, r.Table.CSV()...)
-		} else {
-			out = append(out, r.Table.String()...)
-			out = append(out, '\n')
+		if r.Table != nil {
+			out = append(out, renderTable(r.Table, csv)...)
 		}
 	}
 	return out, firstErr
+}
+
+// renderTable renders one table as qoesim prints it.
+func renderTable(t *experiments.Table, csv bool) []byte {
+	if csv {
+		return []byte(t.CSV())
+	}
+	return append([]byte(t.String()), '\n')
 }
 
 // Config sizes an Engine.
@@ -511,35 +514,30 @@ func (e *Engine) execute(j *Job) {
 	j.finish(Done, out, nil)
 }
 
-// runPlan executes the job's plan and writes its NDJSON progress log.
+// runPlan executes the job's plan and writes its NDJSON progress log: the
+// manifest, one cell per runner cell or fleet shard, and a summary.
 func (e *Engine) runPlan(ctx context.Context, j *Job) ([]byte, error) {
-	if j.plan.Kind == "fleet" {
-		return e.runFleet(ctx, j)
-	}
 	defer j.log.Close()
-	w := runlog.NewWriter(j.log)
-	m := j.plan.Manifest
-	m.Tool = e.cfg.Tool
-	m.CodeVersion = buildinfo.CodeVersion()
-	m.StartedAt = time.Now().UTC().Format(time.RFC3339)
-	m.Parallel = e.cfg.Parallel
-	if err := w.Manifest(m); err != nil {
+	w, err := e.startLog(j, e.cfg.Parallel)
+	if err != nil {
 		return nil, err
 	}
 	ok, failed := 0, 0
+	cell := func(c runlog.Cell) {
+		if c.Status == "error" {
+			failed++
+		} else {
+			ok++
+		}
+		w.Cell(c)
+	}
 	start := time.Now()
-	results, err := ExecutePlan(ctx, j.plan, ExecOpts{
-		Parallel: e.cfg.Parallel,
-		Retries:  e.cfg.Retries,
-		Stream: func(ev runner.Event) {
-			if ev.Err != nil {
-				failed++
-			} else {
-				ok++
-			}
-			w.Cell(cellFromEvent(ev))
-		},
-	})
+	var out []byte
+	if j.plan.Kind == "fleet" {
+		out, err = e.runFleet(ctx, j, cell)
+	} else {
+		out, err = e.runCells(ctx, j, cell)
+	}
 	status := "ok"
 	if err != nil || failed > 0 {
 		status = "failed"
@@ -549,118 +547,68 @@ func (e *Engine) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 		WallMS: float64(time.Since(start)) / float64(time.Millisecond),
 		Status: status,
 	})
-	if err != nil {
-		return nil, err
-	}
-	out, rerr := RenderResults(results, j.Req.CSV)
-	if rerr != nil {
-		return nil, rerr
-	}
-	return out, nil
+	return out, err
 }
 
-// cellFromEvent maps a stream event to its run-log cell, mining the
-// deterministic registry fields when the cell carries a registry (mirrors
-// cmd/internal/obsflag).
-func cellFromEvent(ev runner.Event) runlog.Cell {
-	c := runlog.Cell{
-		Index: ev.Index, ID: ev.ID, Trial: ev.Trial, Seed: ev.Seed,
-		Attempt: ev.Attempt, Status: "ok",
-		WallMS: float64(ev.Elapsed) / float64(time.Millisecond),
-	}
-	if ev.Err != nil {
-		c.Status = "error"
-		c.ErrorClass = runlog.ClassifyError(ev.Err)
-		c.Error = ev.Err.Error()
-	}
-	if ev.Table != nil && ev.Table.Metrics != nil {
-		reg := ev.Table.Metrics
-		c.VirtualMS = reg.LookupCounter("sim.virtual_ms").Value()
-		c.FaultsInjected = int64(reg.LookupCounter("fault.injected").Value())
-		c.FaultsRecovered = int64(reg.LookupCounter("fault.recovered").Value())
-	}
-	return c
-}
-
-// runFleet executes a fleet plan checkpoint-free: the engine serves the
-// merged table, durability is the result cache. Interruption or shard
-// failure fails the job (and is not cached).
-func (e *Engine) runFleet(ctx context.Context, j *Job) ([]byte, error) {
-	defer j.log.Close()
-	spec := j.plan.FleetSpec
-	r, err := spec.Compile()
-	if err != nil {
-		return nil, err
-	}
+// startLog writes the job log's manifest.
+func (e *Engine) startLog(j *Job, parallel int) (*runlog.Writer, error) {
 	w := runlog.NewWriter(j.log)
 	m := j.plan.Manifest
 	m.Tool = e.cfg.Tool
 	m.CodeVersion = buildinfo.CodeVersion()
 	m.StartedAt = time.Now().UTC().Format(time.RFC3339)
-	m.Parallel = e.cfg.Parallel
-	if err := w.Manifest(m); err != nil {
+	m.Parallel = parallel
+	return w, w.Manifest(m)
+}
+
+// runCells executes an experiment or scenario plan. Cells collect their
+// metrics registries so the log carries the same deterministic counters as
+// qoesim -runlog; the rendered tables do not depend on it.
+func (e *Engine) runCells(ctx context.Context, j *Job, cell func(runlog.Cell)) ([]byte, error) {
+	j.plan.Cfg.Metrics = true
+	results, err := ExecutePlan(ctx, j.plan, ExecOpts{
+		Parallel: e.cfg.Parallel,
+		Retries:  e.cfg.Retries,
+		Stream:   func(ev runner.Event) { cell(runlog.CellFromEvent(ev)) },
+	})
+	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	res := fleet.Run(ctx, r, nil, fleet.Options{
-		Parallel:     e.cfg.Parallel,
-		Retries:      e.cfg.Retries,
-		ShardTimeout: 0,
-		Stream: func(ev fleet.Event) {
-			c := runlog.Cell{
-				Index: ev.Shard, ID: "fleet:" + spec.Name, Trial: ev.Shard,
-				Seed:    fleet.TupleSeed(spec.Seed, uint64(ev.Start)),
-				Attempt: ev.Attempt, Status: "ok",
-				WallMS: float64(ev.Elapsed) / float64(time.Millisecond),
-			}
-			if ev.Err != nil {
-				c.Status = "error"
-				c.ErrorClass = runlog.ClassifyError(ev.Err)
-				c.Error = ev.Err.Error()
-			}
-			w.Cell(c)
-		},
+	return RenderResults(results, j.Req.CSV)
+}
+
+// runFleet executes a fleet plan checkpoint-free: the engine serves the
+// merged table, durability is the result cache. Interruption or shard
+// failure fails the job (and is not cached).
+func (e *Engine) runFleet(ctx context.Context, j *Job, cell func(runlog.Cell)) ([]byte, error) {
+	spec := j.plan.FleetSpec
+	fr, err := NewFleetRun(j.plan, 0, fleet.Options{
+		Parallel: e.cfg.Parallel,
+		Retries:  e.cfg.Retries,
+		Stream:   func(ev fleet.Event) { cell(ev.Cell(spec)) },
 	})
-	ok := res.Completed + res.Restored
-	status := "ok"
-	var ferr error
+	if err != nil {
+		return nil, err
+	}
+	res, _ := fr.Execute(ctx) // checkpoint-free: no write can fail
 	switch {
 	case res.Interrupted:
-		status = "failed"
-		ferr = fmt.Errorf("engine: fleet %s interrupted: %w", spec.Name, ctx.Err())
+		return nil, fmt.Errorf("engine: fleet %s interrupted: %w", spec.Name, ctx.Err())
 	case res.Failed > 0 || res.Skipped > 0:
-		status = "failed"
-		ferr = fmt.Errorf("engine: fleet %s: %d shards failed, %d skipped", spec.Name, res.Failed, res.Skipped)
+		err := fmt.Errorf("engine: fleet %s: %d shards failed, %d skipped", spec.Name, res.Failed, res.Skipped)
 		if len(res.Failures) > 0 {
-			ferr = fmt.Errorf("%w (first: shard %d: %v)", ferr, res.Failures[0].Shard, res.Failures[0].Err)
+			err = fmt.Errorf("%w (first: shard %d: %v)", err, res.Failures[0].Shard, res.Failures[0].Err)
 		}
+		return nil, err
 	}
-	w.Summary(runlog.Summary{
-		CellsOK: ok, CellsFailed: res.Failed + res.Skipped,
-		WallMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Status: status,
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	table := res.Merged.Table(spec)
-	if j.Req.CSV {
-		return []byte(table.CSV()), nil
-	}
-	return append([]byte(table.String()), '\n'), nil
+	return fr.Render(res, j.Req.CSV), nil
 }
 
 // writeCachedLog fills a cache-served job's log: a manifest and an
 // immediate summary, no cells (nothing executed).
 func (e *Engine) writeCachedLog(j *Job) {
 	defer j.log.Close()
-	w := runlog.NewWriter(j.log)
-	m := j.plan.Manifest
-	m.Tool = e.cfg.Tool
-	m.CodeVersion = buildinfo.CodeVersion()
-	m.StartedAt = time.Now().UTC().Format(time.RFC3339)
-	m.Parallel = 0
-	if w.Manifest(m) == nil {
+	if w, err := e.startLog(j, 0); err == nil {
 		w.Summary(runlog.Summary{Status: "ok"})
 	}
 }

@@ -95,6 +95,9 @@ func TestComposeValidation(t *testing.T) {
 		{"path without local files", Request{ScenarioPath: "web.json"}, ComposeOptions{}, "server-local"},
 		{"fleet path without local files", Request{FleetPath: "fleet.json"}, ComposeOptions{}, "server-local"},
 		{"bad scenario json", Request{Scenario: json.RawMessage(`{"name": 3}`)}, ComposeOptions{}, ""},
+		{"negative pages", Request{Experiment: "fig7a", Pages: -3}, ComposeOptions{}, "must not be negative"},
+		{"negative pages on a table-only figure", Request{Experiment: "fig3a", Pages: -3}, ComposeOptions{}, "must not be negative"},
+		{"negative trials", Request{Experiment: "fig3a", Trials: -2}, ComposeOptions{}, "must not be negative"},
 	}
 	for _, tc := range cases {
 		_, err := Compose(tc.req, tc.opt)
@@ -135,10 +138,25 @@ func TestComposeKeyDeterministic(t *testing.T) {
 	if a.Key != b.Key {
 		t.Fatalf("same request produced keys %s and %s", a.Key, b.Key)
 	}
-	// TimeoutS is policy, not identity.
-	c, _ := Compose(Request{Scenario: scenarioDoc("keyed"), Seed: 5, Pages: 2, TimeoutS: 9}, ComposeOptions{})
-	if c.Key != a.Key {
-		t.Fatal("timeout_s changed the cache key")
+	// Equivalent requests share one key: TimeoutS is policy, not identity,
+	// and page counts beyond the Top-50 corpus run the same 50 pages.
+	for name, pair := range map[string][2]Request{
+		"timeout_s":       {req, {Scenario: scenarioDoc("keyed"), Seed: 5, Pages: 2, TimeoutS: 9}},
+		"pages > corpus":  {{Experiment: "fig3a", Pages: 1000}, {Experiment: "fig3a", Pages: 50}},
+		"full pages > 50": {{Experiment: "fig7a", Full: true, Pages: 51}, {Experiment: "fig7a", Full: true}},
+		"scenario pages":  {{Scenario: scenarioDoc("keyed"), Pages: 70}, {Scenario: scenarioDoc("keyed"), Pages: 50}},
+	} {
+		x, err := Compose(pair[0], ComposeOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		y, err := Compose(pair[1], ComposeOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if x.Key != y.Key {
+			t.Fatalf("%s: equivalent requests keyed apart (%s vs %s)", name, x.Key, y.Key)
+		}
 	}
 	for name, other := range map[string]Request{
 		"seed":     {Scenario: scenarioDoc("keyed"), Seed: 6, Pages: 2},

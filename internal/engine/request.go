@@ -70,9 +70,10 @@ type Plan struct {
 	// IDs are the registry ids to run (empty for fleet plans).
 	IDs []string
 	// Cfg is the UN-normalized config for runner.Run, which applies
-	// WithDefaults exactly once. Callers may attach observability (tracing,
-	// metrics, faults) before executing; doing so makes the output impure —
-	// never result-cache such a run.
+	// WithDefaults exactly once. Callers may attach tracing or faults
+	// before executing; doing so makes the output impure — never
+	// result-cache such a run. Collecting metrics leaves rendered tables
+	// unchanged.
 	Cfg experiments.Config
 	// Resolve maps ad-hoc ids (the scenario's) to their runners without
 	// touching the global registry; nil for registry-only plans.
@@ -103,6 +104,10 @@ type ComposeOptions struct {
 	AllowLocalFiles bool
 }
 
+// maxPages is the Top-50 corpus size. Web experiments measure every page
+// of it for any larger count, so Compose clamps there before keying.
+const maxPages = 50
+
 // SeedSchedule is the seed-derivation contract stamped into every manifest.
 const SeedSchedule = "trial t of a multi-trial run uses seed*1e6+t (experiments.TrialSeed); retry attempt a remixes the trial seed via experiments.AttemptSeed"
 
@@ -131,6 +136,9 @@ func Compose(req Request, opt ComposeOptions) (*Plan, error) {
 	if len(req.Fleet) > 0 && req.FleetPath != "" {
 		return nil, fmt.Errorf("engine: fleet and fleet_path are mutually exclusive")
 	}
+	if req.Pages < 0 || req.Trials < 0 {
+		return nil, fmt.Errorf("engine: pages (%d) and trials (%d) must not be negative", req.Pages, req.Trials)
+	}
 
 	cfg := experiments.Config{Seed: req.Seed, Pages: req.Pages}
 	if req.Full {
@@ -141,6 +149,7 @@ func Compose(req Request, opt ComposeOptions) (*Plan, error) {
 		}
 	}
 	cfg.Trials = req.Trials
+	cfg.Pages = min(cfg.Pages, maxPages)
 
 	p := &Plan{Cfg: cfg}
 	switch {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/runner"
 )
 
@@ -79,6 +80,29 @@ type Event struct {
 	Elapsed      time.Duration
 	// Result is set for restored and completed shards.
 	Result *ShardResult
+}
+
+// Cell builds the run-log record for one shard of spec's fleet: one cell
+// per shard, indexed by shard, seeded by the shard's first tuple. A
+// restored shard reports the wall time its checkpoint recorded, not the
+// near-zero time it took to load.
+func (ev Event) Cell(spec *Spec) runlog.Cell {
+	c := runlog.Cell{
+		Index: ev.Shard, ID: "fleet:" + spec.Name, Trial: ev.Shard,
+		Seed:    TupleSeed(spec.Seed, uint64(ev.Start)),
+		Attempt: ev.Attempt, Status: "ok",
+		WallMS:   float64(ev.Elapsed) / float64(time.Millisecond),
+		Restored: ev.Restored,
+	}
+	if ev.Restored && ev.Result != nil {
+		c.WallMS = ev.Result.WallMS
+	}
+	if ev.Err != nil {
+		c.Status = "error"
+		c.ErrorClass = runlog.ClassifyError(ev.Err)
+		c.Error = ev.Err.Error()
+	}
+	return c
 }
 
 // ShardFailure records one permanently-failed shard in the run summary.

@@ -38,8 +38,10 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"time"
 
 	"mobileqoe/internal/core"
+	"mobileqoe/internal/runner"
 )
 
 // Schema is the run-log schema version. Bump on any field rename/removal or
@@ -114,6 +116,31 @@ type Cell struct {
 	Restored bool `json:"restored,omitempty"`
 }
 
+// CellFromEvent builds the record for one completed runner cell: identity,
+// status and error class from the event, and the deterministic simulation
+// counters (virtual time, fault injections/recoveries) from the cell's
+// metrics registry when the run collected one. Lookups do not create, so
+// mining never grows the shared, printable registry with zero rows.
+func CellFromEvent(ev runner.Event) Cell {
+	c := Cell{
+		Index: ev.Index, ID: ev.ID, Trial: ev.Trial, Seed: ev.Seed,
+		Attempt: ev.Attempt, Status: "ok",
+		WallMS: float64(ev.Elapsed) / float64(time.Millisecond),
+	}
+	if ev.Err != nil {
+		c.Status = "error"
+		c.ErrorClass = ClassifyError(ev.Err)
+		c.Error = ev.Err.Error()
+	}
+	if ev.Table != nil && ev.Table.Metrics != nil {
+		m := ev.Table.Metrics
+		c.VirtualMS = m.LookupCounter("sim.virtual_ms").Value()
+		c.FaultsInjected = int64(m.LookupCounter("fault.injected").Value())
+		c.FaultsRecovered = int64(m.LookupCounter("fault.recovered").Value())
+	}
+	return c
+}
+
 // RuntimeSnapshot is the Go runtime block shared by health records and
 // scripts/runtimestats: GC and heap counters since process start.
 type RuntimeSnapshot struct {
@@ -149,8 +176,8 @@ type Health struct {
 	// ETAMS estimates remaining wall time from the completion rate so far
 	// (0 when done == 0).
 	ETAMS float64 `json:"eta_ms"`
-	// WallP50MS/WallP95MS are streaming per-cell wall-time quantiles (P²
-	// estimates — see stats.P2Quantile for the accuracy contract).
+	// WallP50MS/WallP95MS are per-cell wall-time quantiles estimated from a
+	// stats.HistSketch (at most ~6.25% relative error, see its type comment).
 	WallP50MS float64         `json:"wall_p50_ms"`
 	WallP95MS float64         `json:"wall_p95_ms"`
 	Runtime   RuntimeSnapshot `json:"runtime"`

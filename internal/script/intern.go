@@ -55,7 +55,7 @@ func boolv(b bool) Value {
 func charv(b byte) Value { return internedChars[b] }
 
 // Literal constructors box the literal's runtime value once at parse time;
-// both engines then reuse the same box on every evaluation.
+// the interpreter then reuses the same box on every evaluation.
 func newNumberLit(f float64) *numberLit { return &numberLit{v: f, box: num(f)} }
 func newStringLit(s string) *stringLit  { return &stringLit{v: s, box: s} }
 func newBoolLit(b bool) *boolLit        { return &boolLit{v: b, box: boolv(b)} }

@@ -39,7 +39,7 @@ type RegexHost interface {
 	ExecRegex(pattern, input string) (matched bool, start, end int, err error)
 }
 
-// Stats summarizes an execution's cost in engine-neutral units.
+// Stats summarizes an execution's cost.
 type Stats struct {
 	Ops      int64 // interpreter operations (AST evaluations)
 	StrBytes int64 // bytes touched by string/array operations
@@ -304,7 +304,7 @@ func (in *Interp) assign(s *assignStmt, e *env) error {
 
 func (in *Interp) evalTarget(t expr, e *env) (Value, error) { return in.eval(t, e) }
 
-// indexValue implements base[idx] for both execution engines.
+// indexValue implements base[idx].
 func (in *Interp) indexValue(base, idx Value) (Value, error) {
 	switch b := base.(type) {
 	case *Array:
@@ -328,7 +328,7 @@ func (in *Interp) indexValue(base, idx Value) (Value, error) {
 	return nil, fmt.Errorf("script: cannot index %T", base)
 }
 
-// setIndexValue implements base[idx] = v for both execution engines.
+// setIndexValue implements base[idx] = v.
 func (in *Interp) setIndexValue(base, idx, v Value) error {
 	switch b := base.(type) {
 	case *Array:

@@ -92,6 +92,31 @@ func TestControlFlow(t *testing.T) {
 	wantNum(t, in, "brk", 4) // j = 0,2,4,6
 }
 
+// TestCompoundAssignAndImplicitGlobal pins the assignment forms the
+// ordinary tests do not reach: compound operators on index and member
+// targets, a break out of an inner loop only, and sloppy-mode implicit
+// globals assigned inside a function.
+func TestCompoundAssignAndImplicitGlobal(t *testing.T) {
+	in := run(t, `
+		var a = [1, 2, 3]; a[0] += 5; a[1] *= 3;
+		var o = {n: 10}; o.n -= 4;
+		var x = 7; x %= 2;
+		var total = 0;
+		for (var i = 0; i < 5; i++) {
+			for (var j = 0; j < 5; j++) { if (j == 3) { break; } total += i*j; }
+		}
+		function setIt() { undeclared = 7; }
+		setIt();
+		var a0 = a[0]; var a1 = a[1]; var n = o.n; var got = undeclared;
+	`)
+	wantNum(t, in, "a0", 6)
+	wantNum(t, in, "a1", 6)
+	wantNum(t, in, "n", 6)
+	wantNum(t, in, "x", 1)
+	wantNum(t, in, "total", 30) // (0+1+2) * (0+1+2+3+4)
+	wantNum(t, in, "got", 7)
+}
+
 func TestFunctionsAndRecursion(t *testing.T) {
 	in := run(t, `
 		function fib(n) {
