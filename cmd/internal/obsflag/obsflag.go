@@ -4,9 +4,10 @@
 // -metrics at all); the flags now register, translate to options, and flush
 // through one place.
 //
-// qoesim keeps its own trace wiring — its per-(experiment, trial) tracer
-// factory has no single flush point — but shares the -faults resolver, and
-// its flag spellings match the ones registered here.
+// qoesim keeps its own trace wiring — every (experiment, trial) cell attempt
+// records into its own tracer, and runner.Traces joins them after the run —
+// but shares the -faults resolver, and its flag spellings match the ones
+// registered here.
 package obsflag
 
 import (

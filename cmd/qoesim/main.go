@@ -10,8 +10,7 @@
 //	qoesim -run fig2a -csv           # machine-readable output
 //	qoesim -run fig3a -pages 12 -seed 7
 //	qoesim -run all -trials 20 -parallel 8   # paper-style replicated trials
-//	qoesim -run fig3a -trace out.json            # one combined trace file
-//	qoesim -run fig3a -trials 4 -parallel 4 -trace out.json  # per-trial files
+//	qoesim -run fig3a -trials 4 -trace out.json  # one combined trace file
 //	qoesim -run fig3a -profile -folded out.folded            # profile the run
 //	qoesim -run all -checktrace                  # trace invariant check
 //	qoesim -run fig3a -faults default            # built-in mixed fault plan
@@ -30,13 +29,11 @@
 // -slo-exit, IO errors), 2 usage, 3 fleet interrupted (checkpointed and
 // resumable — see EXPERIMENTS.md "Running a fleet").
 //
-// Tracing and -parallel compose as follows: with -parallel 1 (the default
-// once -trace is given) the whole run shares one tracer and -trace writes a
-// single combined file. With an explicit -parallel > 1 every (experiment,
-// trial) cell gets its own tracer, and -trace <out>.json writes one file per
-// cell: <out>.trial<N>.json for a single experiment, <out>.<id>.trial<N>.json
-// when several experiments ran. Per-cell traces are byte-identical to a
-// sequential run's, because each cell owns its tracer.
+// Tracing never changes how the run executes: every (experiment, trial)
+// cell attempt records into its own tracer, and -trace, -profile, -folded
+// and -checktrace read one combined trace, the cell tracers appended in cell
+// order. The combined trace is byte-identical at any -parallel. -exemplars
+// additionally writes the K worst cells' own traces to separate files.
 package main
 
 import (
@@ -48,7 +45,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"time"
 
 	"mobileqoe/cmd/internal/obsflag"
@@ -85,57 +81,6 @@ func writeTraceAtomic(path string, tr *trace.Tracer) error {
 		return err
 	}
 	return atomicfile.Write(path, buf.Bytes(), 0o644)
-}
-
-// traceSink hands a fresh tracer to every (experiment, trial) cell, so a
-// parallel run's per-trial traces match a sequential run's byte for byte.
-type traceSink struct {
-	mu      sync.Mutex
-	tracers map[string]map[int]*trace.Tracer
-}
-
-func newTraceSink() *traceSink {
-	return &traceSink{tracers: map[string]map[int]*trace.Tracer{}}
-}
-
-func (s *traceSink) factory(id string, trial int) *trace.Tracer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tr := trace.New()
-	if s.tracers[id] == nil {
-		s.tracers[id] = map[int]*trace.Tracer{}
-	}
-	s.tracers[id][trial] = tr
-	return tr
-}
-
-// writeAll writes one file per cell. Naming: <stem>.trial<N><ext> for a
-// single experiment, <stem>.<id>.trial<N><ext> when several ran; stem/ext
-// split the -trace argument at its last dot (no dot: ext ".json").
-func (s *traceSink) writeAll(out string, ids []string, trials int) error {
-	stem, ext := out, ".json"
-	if i := strings.LastIndexByte(out, '.'); i > strings.LastIndexByte(out, '/') {
-		stem, ext = out[:i], out[i:]
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, id := range ids {
-		for t := 0; t < trials; t++ {
-			tr := s.tracers[id][t]
-			if tr == nil {
-				continue // cell failed or was never scheduled
-			}
-			path := fmt.Sprintf("%s.trial%d%s", stem, t, ext)
-			if len(ids) > 1 {
-				path = fmt.Sprintf("%s.%s.trial%d%s", stem, id, t, ext)
-			}
-			if err := writeTrace(path, tr); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "qoesim: wrote %d trace events to %s\n", tr.Len(), path)
-		}
-	}
-	return nil
 }
 
 // writeExemplars writes the top-K worst-cell traces retained by -exemplars
@@ -182,13 +127,13 @@ func realMain() int {
 		timeout  = flag.Duration("timeout", 0, "abort -run after this wall-clock duration (0 = no limit)")
 		faults   = flag.String("faults", "", "fault-injection plan: a JSON plan file, or 'default' for the built-in mixed plan")
 		retries  = flag.Int("retries", 0, "extra attempts per failed (experiment, trial) cell")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (per-trial files when -parallel > 1; see package doc)")
+		traceOut = flag.String("trace", "", "write one Chrome trace-event JSON of the whole run to this file (byte-identical at any -parallel)")
 		metrics  = flag.Bool("metrics", false, "print the run's metrics registry after each table")
 		histMode trace.HistMode
-		profOut  = flag.Bool("profile", false, "print an aggregated virtual-time profile of the traced run (implies tracing; forces -parallel 1)")
-		folded   = flag.String("folded", "", "write folded stacks (flamegraph.pl / speedscope) of the traced run to this file (implies tracing; forces -parallel 1)")
+		profOut  = flag.Bool("profile", false, "print an aggregated virtual-time profile of the traced run (implies tracing)")
+		folded   = flag.String("folded", "", "write folded stacks (flamegraph.pl / speedscope) of the traced run to this file (implies tracing)")
 		weight   = flag.String("weight", "time", "folded-stack weight: 'time' (self virtual µs) or 'cycles'")
-		check    = flag.Bool("checktrace", false, "run the trace invariant checker over the run (implies tracing and metrics; forces -parallel 1; violations exit nonzero)")
+		check    = flag.Bool("checktrace", false, "run the trace invariant checker over the run (implies tracing and metrics; violations exit nonzero)")
 		cpuProf  = flag.String("cpuprofile", "", "write a Go CPU profile of the qoesim process to this file")
 		memProf  = flag.String("memprofile", "", "write a Go heap profile (taken after the run) to this file")
 		exemK    = flag.Int("exemplars", 0, "retain full traces for the K worst cells by -exemplar-metric; files named <exemplar-out stem>.exemplar.<id>.trial<N>.json")
@@ -327,7 +272,6 @@ func realMain() int {
 		cfg.CallDuration = *call
 	}
 	cfg.Metrics = *metrics
-	cfg.MetricsMode = histMode
 	if rlf.Out != "" || rlf.Telemetry != "" {
 		// A run log mines per-cell registries for the deterministic fields
 		// (virtual time, fault counts), and -telemetry folds them into the
@@ -345,61 +289,27 @@ func realMain() int {
 		}
 		cfg.Faults = fp
 	}
-	scn := plan.Scenario // non-nil for -scenario runs: SLO rules, manifest
 	if *check {
 		// The checker cross-validates the trace against the metrics registry,
 		// so it needs both channels on.
 		cfg.Metrics = true
 	}
-	var wd *scenario.Watchdog
-	if scn != nil && len(scn.SLO) > 0 {
-		wd = scenario.NewWatchdog(scn.SLO)
-		// The watchdog reads each cell's registry; quantile rules on histogram
-		// metrics additionally need the bounded sketches, so upgrade the
-		// default scalar mode (an explicit -metricsmode wins).
-		cfg.Metrics = true
-		if !modeSet && cfg.MetricsMode == trace.HistScalar {
-			cfg.MetricsMode = trace.HistBounded
-		}
-	}
 
-	// Trace wiring. Analysis flags (-profile/-folded/-checktrace) consume the
-	// whole run as one trace, so they run the cells sequentially on a shared
-	// tracer; plain -trace does too unless the user explicitly asked for
-	// -parallel > 1, in which case each cell gets its own tracer and its own
-	// output file (see traceSink.writeAll for the naming scheme).
+	// Every cell attempt traces into its own tracer; the collector appends
+	// them in cell order into the one trace the trace flags read.
 	analyze := *profOut || *folded != "" || *check
-	var tracer *trace.Tracer
-	var sink *traceSink
-	switch {
-	case analyze:
-		if *parallel > 1 {
-			fmt.Fprintln(os.Stderr, "qoesim: -profile/-folded/-checktrace force -parallel 1 for one combined deterministic trace")
-		}
-		*parallel = 1
-		tracer = trace.New()
-		cfg.Trace = tracer
-	case *traceOut != "" && *parallel > 1:
-		sink = newTraceSink()
-		cfg.TraceFactory = sink.factory
-	case *traceOut != "":
-		// Concurrent cells interleave span emission nondeterministically;
-		// one combined byte-identical trace needs the cells run one at a time.
-		*parallel = 1
-		tracer = trace.New()
-		cfg.Trace = tracer
+	var traces *runner.Traces
+	if analyze || *traceOut != "" {
+		traces = runner.NewTraces()
+		cfg.TraceFactory = traces.Factory
 	}
 	var ex *runner.Exemplars
 	if *exemK > 0 {
-		if tracer != nil {
-			fmt.Fprintln(os.Stderr, "qoesim: -exemplars needs per-cell tracers; it cannot combine with -profile/-folded/-checktrace or single-file -trace (use -trace with an explicit -parallel > 1)")
-			return 2
-		}
 		// The ranking metric is mined from each cell's registry.
 		cfg.Metrics = true
 		var inner func(string, int) *trace.Tracer
-		if sink != nil {
-			inner = sink.factory // -trace -parallel>1 composes: shared tracers, both planes
+		if traces != nil {
+			inner = traces.Factory // both planes share each cell's tracer
 		}
 		ex = runner.NewExemplars(*exemK, *exemMet, inner)
 		cfg.TraceFactory = ex.Factory
@@ -424,7 +334,8 @@ func realMain() int {
 	})
 
 	if *report != "" {
-		if err := writeReport(*report, *cfg); err != nil {
+		if err := writeReport(*report, plan, engine.ExecOpts{Parallel: *parallel,
+			Timeout: *timeout, Retries: *retries}); err != nil {
 			fmt.Fprintf(os.Stderr, "qoesim: %v\n", err)
 			return 1
 		}
@@ -490,21 +401,14 @@ func realMain() int {
 	if rl != nil {
 		ropts.Stream = rl.CellEvent
 	}
-	if wd != nil {
-		innerStream := ropts.Stream
-		ropts.Stream = func(ev runner.Event) {
-			if innerStream != nil {
-				innerStream(ev) // cell record lands before any alert referencing it
-			}
-			if ev.Err != nil || ev.Table == nil || ev.Table.Metrics == nil {
-				return
-			}
-			for _, a := range wd.ObserveCell(ev.Index, ev.ID, ev.Trial, ev.Table.Metrics) {
-				rl.Alert(a)
-				fmt.Fprintf(os.Stderr, "qoesim: slo alert: %s %s threshold %g observed %g (cell %s trial %d, n=%d)\n",
-					a.Metric, a.Rule, a.Threshold, a.Value, a.CellID, a.Trial, a.N)
-			}
-		}
+	var wd *scenario.Watchdog
+	ropts.Stream, wd = engine.WatchSLO(plan, ropts.Stream, func(a runlog.Alert) {
+		rl.Alert(a)
+		fmt.Fprintf(os.Stderr, "qoesim: slo alert: %s %s threshold %g observed %g (cell %s trial %d, n=%d)\n",
+			a.Metric, a.Rule, a.Threshold, a.Value, a.CellID, a.Trial, a.N)
+	})
+	if modeSet {
+		cfg.MetricsMode = histMode // an explicit -metricsmode wins over the watchdog's
 	}
 	start := time.Now()
 	results, err := engine.ExecutePlan(context.Background(), plan, ropts)
@@ -556,22 +460,19 @@ func realMain() int {
 			fmt.Println()
 		}
 	}
-	if tracer != nil && *traceOut != "" {
-		if err := writeTrace(*traceOut, tracer); err != nil {
-			fmt.Fprintf(os.Stderr, "qoesim: %v\n", err)
-			return 1
+	if traces != nil {
+		tracer := traces.Combined(ids, norm.Trials)
+		if *traceOut != "" {
+			if err := writeTrace(*traceOut, tracer); err != nil {
+				fmt.Fprintf(os.Stderr, "qoesim: %v\n", err)
+				return 1
+			}
+			fmt.Fprintf(os.Stderr, "qoesim: wrote %d trace events to %s\n", tracer.Len(), *traceOut)
 		}
-		fmt.Fprintf(os.Stderr, "qoesim: wrote %d trace events to %s\n", tracer.Len(), *traceOut)
-	}
-	if sink != nil {
-		if err := sink.writeAll(*traceOut, ids, norm.Trials); err != nil {
-			fmt.Fprintf(os.Stderr, "qoesim: %v\n", err)
-			return 1
-		}
-	}
-	if analyze {
-		if code := analyzeTrace(tracer, results, *profOut, *folded, by, *check); code != 0 {
-			exit = code
+		if analyze {
+			if code := analyzeTrace(tracer, results, *profOut, *folded, by, *check); code != 0 {
+				exit = code
+			}
 		}
 	}
 	if totalCells > 1 {
@@ -635,8 +536,17 @@ func analyzeTrace(tracer *trace.Tracer, results []runner.Result,
 }
 
 // writeReport regenerates every artifact and renders a single markdown
-// document — the reproduction's self-contained results appendix.
-func writeReport(path string, cfg experiments.Config) error {
+// document — the reproduction's self-contained results appendix. It runs
+// every registry experiment under the plan's config, on the worker pool and
+// with tracing and exemplars detached.
+func writeReport(path string, plan *engine.Plan, opts engine.ExecOpts) error {
+	all := *plan
+	all.IDs = experiments.IDs()
+	all.Cfg.TraceFactory = nil
+	results, err := engine.ExecutePlan(context.Background(), &all, opts)
+	if err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -645,13 +555,13 @@ func writeReport(path string, cfg experiments.Config) error {
 	fmt.Fprintf(f, "# mobileqoe results report\n\n")
 	fmt.Fprintf(f, "Generated %s by `qoesim -report`. Deterministic for a given seed.\n\n",
 		time.Now().UTC().Format(time.RFC3339))
-	for _, id := range experiments.IDs() {
-		tab, err := experiments.Run(id, cfg)
-		if err != nil {
-			return err
+	for _, r := range results {
+		if r.Err != nil {
+			return r.Err
 		}
+		tab := r.Table
 		fmt.Fprintf(f, "## %s — %s\n\n", tab.ID, tab.Title)
-		fmt.Fprintf(f, "%s\n\n", experiments.Describe(id))
+		fmt.Fprintf(f, "%s\n\n", experiments.Describe(r.ID))
 		fmt.Fprintf(f, "| %s |\n", strings.Join(tab.Columns, " | "))
 		seps := make([]string, len(tab.Columns))
 		for i := range seps {

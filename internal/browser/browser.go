@@ -117,17 +117,6 @@ type Result struct {
 	Restarts int
 }
 
-// ComputeTime sums compute activity durations (wall-clock, may overlap).
-func (r Result) ComputeTime() time.Duration {
-	var t time.Duration
-	for _, a := range r.Activities {
-		if a.Kind.IsCompute() {
-			t += a.Duration()
-		}
-	}
-	return t
-}
-
 // MainComputeTime sums main-thread compute durations (the WProf compute
 // categories: parse, compile, script, style, layout, paint).
 func (r Result) MainComputeTime() time.Duration {

@@ -73,7 +73,7 @@ func (r Result) WriteJSON(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// EmitTrace replays the recorded activity waterfall into tr under pid as
+// EmitTraceWith replays the recorded activity waterfall into tr under pid as
 // spans in category "browser": main-thread activities on a "browser:main"
 // lane, image decodes on "browser:raster", fetches on "browser:net", plus a
 // "load-event" instant at PLT. Activities are already complete when this
@@ -83,11 +83,7 @@ func (r Result) WriteJSON(w io.Writer) error {
 // queueing behind other work on the same simulated thread — which is why
 // spans on browser:* lanes may legitimately overlap (the trace invariant
 // checker exempts them from the serialization rule).
-func (r Result) EmitTrace(tr *trace.Tracer, pid int) {
-	r.EmitTraceWith(tr, pid, nil)
-}
-
-// EmitTraceWith is EmitTrace plus per-activity critical-path attribution:
+//
 // critMs maps activity IDs to their critical-path segment in milliseconds
 // (see wprof.PathStats.Segments), emitted as a "crit_ms" span annotation.
 // Because segments telescope, the crit_ms values of one load sum exactly to

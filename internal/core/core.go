@@ -53,10 +53,8 @@ type options struct {
 	cores      int
 	ram        units.ByteSize
 	netCfg     netsim.Config
-	dspCfg     *dsp.Config
 	forceSWDec bool
 	noPrefetch bool
-	noABR      bool
 	faultPlan  *fault.Plan
 	faultSeed  uint64
 	tr         *trace.Tracer
@@ -97,17 +95,9 @@ func WithoutPacketCPUCharge() Option {
 // record processing — the paper's §6 future-work software axis.
 func WithTLS() Option { return func(o *options) { o.netCfg.TLS = true } }
 
-// WithHTTP2 multiplexes requests over one connection per origin with
-// compressed headers, as Chrome 63 negotiated with h2-capable origins.
-func WithHTTP2() Option { return func(o *options) { o.netCfg.HTTP2 = true } }
-
 // WithEngine selects the browser implementation profile (default Chrome 63;
 // see browser.Engines).
 func WithEngine(e browser.Engine) Option { return func(o *options) { o.engine = e } }
-
-// WithDSP attaches a DSP coprocessor with the given configuration
-// (zero-value Config selects the Hexagon-like defaults).
-func WithDSP(cfg dsp.Config) Option { return func(o *options) { o.dspCfg = &cfg } }
 
 // WithFaultPlan attaches a fault-injection plan, replayed against the
 // system's clock by an injector seeded with seed. Every subsystem then
@@ -128,9 +118,6 @@ func WithoutHardwareDecoder() Option { return func(o *options) { o.forceSWDec = 
 
 // WithoutPrefetch disables the streaming read-ahead buffer.
 func WithoutPrefetch() Option { return func(o *options) { o.noPrefetch = true } }
-
-// WithoutABR pins calls at their top resolution.
-func WithoutABR() Option { return func(o *options) { o.noABR = true } }
 
 // WithTrace attaches a tracer: the system allocates one trace process (pid)
 // named after the device and every subsystem emits spans/counters into it at
@@ -160,10 +147,6 @@ type System struct {
 
 	opts options
 }
-
-// TracePid returns the trace process id the system's events are attributed
-// to (0 when no tracer is attached).
-func (sys *System) TracePid() int { return sys.Obs.Pid }
 
 // NewSystem builds a device. The zero option set is the paper's default
 // configuration: interactive governor, all cores, stock RAM, LAN testbed.
@@ -236,11 +219,7 @@ func build(spec device.Spec, o options) *System {
 		Obs:   oc,
 		opts:  o,
 	}
-	if o.dspCfg != nil {
-		cfg := *o.dspCfg
-		cfg.Obs = oc
-		sys.DSP = dsp.New(s, cfg)
-	} else if spec.Has(device.DSP) {
+	if spec.Has(device.DSP) {
 		sys.DSP = dsp.New(s, dsp.Config{Obs: oc})
 	}
 	return sys
@@ -421,7 +400,6 @@ func (CallWorkload) Deadline() time.Duration { return 4 * time.Hour }
 func (w CallWorkload) Start(sys *System, done func(Result)) {
 	telephony.Call(telephony.Config{
 		Sim: sys.Sim, CPU: sys.CPU, Net: sys.Net, Mem: sys.Mem, Spec: sys.Spec,
-		DisableABR:         sys.opts.noABR,
 		ForceSoftwareCodec: sys.opts.forceSWDec,
 		Obs:                sys.Obs,
 	}, w.Config, func(m telephony.Metrics) {

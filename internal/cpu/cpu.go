@@ -166,8 +166,7 @@ type Thread struct {
 	// whether it is currently armed.
 	completion *sim.Event
 	completeFn func()
-	executed   float64 // total cycles retired
-	tid        int     // trace lane, 0 when tracing is off
+	tid        int // trace lane, 0 when tracing is off
 }
 
 // SetWeight changes the thread's scheduling weight. Runnable threads on a
@@ -453,9 +452,6 @@ func (c *CPU) OnlineCores() int { return c.online }
 // Freq returns the current big-cluster frequency.
 func (c *CPU) Freq() units.Freq { return c.clusters[0].freq }
 
-// ClusterFreq returns the current frequency of cluster i (0 = big).
-func (c *CPU) ClusterFreq(i int) units.Freq { return c.clusters[i].freq }
-
 // EffectiveRate returns the cycles/second a lone thread of the given kind
 // would currently receive; used by closed-form estimators.
 func (c *CPU) EffectiveRate(foreground bool) float64 {
@@ -524,9 +520,6 @@ func (t *Thread) Idle() bool { return len(t.queue) == 0 }
 // QueueLen returns the number of queued (including running) tasks.
 func (t *Thread) QueueLen() int { return len(t.queue) }
 
-// Executed returns total cycles retired by this thread.
-func (t *Thread) Executed() float64 { return t.executed }
-
 // Name returns the thread's name.
 func (t *Thread) Name() string { return t.name }
 
@@ -591,7 +584,6 @@ func (c *CPU) settle() {
 				work = cur.remaining
 			}
 			cur.remaining -= work
-			th.executed += work
 			cur.settled = now
 		}
 	}
@@ -699,7 +691,6 @@ func (c *CPU) onCompletion(th *Thread) {
 		c.reschedule() // spurious wakeup (rate changed since scheduling)
 		return
 	}
-	th.executed += cur.remaining
 	cur.remaining = 0
 	// Pop the queue head in place so the backing array keeps its capacity
 	// (the per-packet rx path would otherwise reallocate it constantly).

@@ -13,8 +13,9 @@
 //
 // The cache is trivially correct because runs are pure: a table is a
 // deterministic function of (document, normalized config, code version).
-// Anything that makes a run impure — tracing, watchdogs, metrics printing —
+// Anything that makes a run impure — tracing, exemplars, metrics printing —
 // lives above ExecutePlan in the CLI, which does not use the result cache.
+// SLO watchdogs (WatchSLO) only observe cells, so both paths run them.
 package engine
 
 import (
@@ -31,6 +32,7 @@ import (
 	"mobileqoe/internal/fleet"
 	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/runner"
+	"mobileqoe/internal/scenario"
 	"mobileqoe/internal/trace"
 )
 
@@ -58,6 +60,36 @@ func ExecutePlan(ctx context.Context, p *Plan, opts ExecOpts) ([]runner.Result, 
 		Stream:   opts.Stream,
 		Resolve:  p.Resolve,
 	})
+}
+
+// WatchSLO arms the plan's scenario SLO watchdog for one execution. It
+// returns stream wrapped so that each cell, once stream has seen it, is
+// folded into the watchdog, and every alert that trips goes to alert. The
+// watchdog reads cell registries, so WatchSLO turns metric collection on and
+// upgrades the default scalar histogram mode to bounded, which quantile rules
+// need. Wrap ExecOpts.Stream with it: stream order is cell order, which is
+// what makes the alerts reproducible. A plan without an slo: block gets
+// stream back unchanged and a nil watchdog, which is inert.
+func WatchSLO(p *Plan, stream func(runner.Event), alert func(runlog.Alert)) (func(runner.Event), *scenario.Watchdog) {
+	if p.Scenario == nil || len(p.Scenario.SLO) == 0 {
+		return stream, nil
+	}
+	wd := scenario.NewWatchdog(p.Scenario.SLO)
+	p.Cfg.Metrics = true
+	if p.Cfg.MetricsMode == trace.HistScalar {
+		p.Cfg.MetricsMode = trace.HistBounded
+	}
+	return func(ev runner.Event) {
+		if stream != nil {
+			stream(ev) // the cell record lands before any alert naming it
+		}
+		if ev.Err != nil || ev.Table == nil || ev.Table.Metrics == nil {
+			return
+		}
+		for _, a := range wd.ObserveCell(ev.Index, ev.ID, ev.Trial, ev.Table.Metrics) {
+			alert(a)
+		}
+	}, wd
 }
 
 // RenderResults renders merged tables exactly as qoesim prints them (ASCII
@@ -522,7 +554,7 @@ func (e *Engine) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	ok, failed := 0, 0
+	ok, failed, alerts := 0, 0, 0
 	cell := func(c runlog.Cell) {
 		if c.Status == "error" {
 			failed++
@@ -531,12 +563,16 @@ func (e *Engine) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 		}
 		w.Cell(c)
 	}
+	alert := func(a runlog.Alert) {
+		alerts++
+		w.Alert(a)
+	}
 	start := time.Now()
 	var out []byte
 	if j.plan.Kind == "fleet" {
 		out, err = e.runFleet(ctx, j, cell)
 	} else {
-		out, err = e.runCells(ctx, j, cell)
+		out, err = e.runCells(ctx, j, cell, alert)
 	}
 	status := "ok"
 	if err != nil || failed > 0 {
@@ -544,8 +580,9 @@ func (e *Engine) runPlan(ctx context.Context, j *Job) ([]byte, error) {
 	}
 	w.Summary(runlog.Summary{
 		CellsOK: ok, CellsFailed: failed,
-		WallMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Status: status,
+		WallMS:        float64(time.Since(start)) / float64(time.Millisecond),
+		Status:        status,
+		SLOViolations: alerts,
 	})
 	return out, err
 }
@@ -562,14 +599,15 @@ func (e *Engine) startLog(j *Job, parallel int) (*runlog.Writer, error) {
 }
 
 // runCells executes an experiment or scenario plan. Cells collect their
-// metrics registries so the log carries the same deterministic counters as
-// qoesim -runlog; the rendered tables do not depend on it.
-func (e *Engine) runCells(ctx context.Context, j *Job, cell func(runlog.Cell)) ([]byte, error) {
+// metrics registries so the log carries the same deterministic counters and
+// SLO alerts as qoesim -runlog; the rendered tables do not depend on it.
+func (e *Engine) runCells(ctx context.Context, j *Job, cell func(runlog.Cell), alert func(runlog.Alert)) ([]byte, error) {
 	j.plan.Cfg.Metrics = true
+	stream, _ := WatchSLO(j.plan, func(ev runner.Event) { cell(runlog.CellFromEvent(ev)) }, alert)
 	results, err := ExecutePlan(ctx, j.plan, ExecOpts{
 		Parallel: e.cfg.Parallel,
 		Retries:  e.cfg.Retries,
-		Stream:   func(ev runner.Event) { cell(runlog.CellFromEvent(ev)) },
+		Stream:   stream,
 	})
 	if err != nil {
 		return nil, err

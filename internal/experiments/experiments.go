@@ -32,20 +32,14 @@ type Config struct {
 	// TrialSeed) and merge the per-trial tables with MergeTrials.
 	Trials int
 
-	// Trace, when non-nil, receives spans and counters from every system a
-	// trial builds (see internal/trace). The tracer is mutex-safe, but
-	// emission order across concurrently running cells is nondeterministic,
-	// so byte-identical traces require running the cells sequentially.
-	Trace *trace.Tracer
-
-	// TraceFactory, when non-nil, overrides Trace with a fresh tracer per
-	// (experiment, trial) cell: RunTrial calls it once at the start of each
-	// trial and attaches the returned tracer (nil disables tracing for that
-	// cell). Because every cell writes its own tracer, parallel multi-trial
-	// runs produce the same per-trial traces as sequential ones — this is how
-	// qoesim -trace -parallel N writes byte-identical out.trial<N>.json files.
-	// The factory is called from worker goroutines and must be safe for
-	// concurrent use.
+	// TraceFactory, when non-nil, hands every (experiment, trial) cell
+	// attempt its own tracer: RunTrial calls it once at the start of each
+	// attempt and attaches the returned tracer to every system the attempt
+	// builds (nil disables tracing for that attempt). Because each attempt
+	// writes only its own tracer, a parallel run traces exactly what a
+	// sequential one does; runner.Traces joins the cell tracers into one
+	// combined trace. The factory is called from worker goroutines and must
+	// be safe for concurrent use.
 	TraceFactory func(id string, trial int) *trace.Tracer
 
 	// Metrics enables the per-trial metrics registry: each trial accumulates
@@ -66,6 +60,9 @@ type Config struct {
 	// is byte-identical whether the harness runs it sequentially or on a
 	// worker pool.
 	Faults *fault.Plan
+
+	// tr is the currently executing attempt's tracer, from TraceFactory.
+	tr *trace.Tracer
 
 	// reg is the registry of the currently executing trial; RunTrial creates
 	// it when Metrics is set and runners thread it into their systems.
@@ -232,13 +229,6 @@ func register(id, desc string, fn Runner) {
 	registry[id] = entry{fn: fn, desc: desc}
 }
 
-// Register adds an out-of-package experiment (e.g. a parsed scenario) to the
-// registry under the given id, making it runnable through RunTrial and the
-// internal/runner pool like a built-in. It panics on a duplicate id; dynamic
-// registrars namespace their ids (internal/scenario uses "scenario:<name>")
-// so they cannot collide with the built-in figure ids.
-func Register(id, desc string, fn Runner) { register(id, desc, fn) }
-
 // IDs returns all experiment IDs in sorted order.
 func IDs() []string {
 	out := make([]string, 0, len(registry))
@@ -321,7 +311,7 @@ func RunTrialAttemptFn(id string, fn Runner, cfg Config, trial, attempt int) (*T
 	}
 	c.Trials = 1
 	if c.TraceFactory != nil {
-		c.Trace = c.TraceFactory(id, trial)
+		c.tr = c.TraceFactory(id, trial)
 	}
 	if c.Metrics {
 		c.reg = trace.NewMetricsMode(c.MetricsMode)
@@ -338,8 +328,10 @@ func RunTrialAttemptFn(id string, fn Runner, cfg Config, trial, attempt int) (*T
 }
 
 // Run executes one experiment. With cfg.Trials > 1 it runs every trial
-// sequentially and returns the MergeTrials result; internal/runner produces
-// byte-identical output by fanning the same trials across a worker pool.
+// sequentially and returns the MergeTrials result. It is the sequential
+// reference the runner tests compare against: internal/runner, which every
+// harness executes through, produces byte-identical output by fanning the
+// same trials across a worker pool.
 func Run(id string, cfg Config) (*Table, error) {
 	if _, ok := registry[id]; !ok {
 		return nil, unknownErr(id)

@@ -7,9 +7,9 @@ import (
 )
 
 // NewSystem is how every registry runner builds a device: core.NewSystem
-// with the run's observability (Config.Trace, the trial's metrics registry)
-// attached. Runners — including out-of-package ones registered via Register,
-// like parsed scenarios — must construct systems through this helper: a
+// with the run's observability (the attempt's tracer from TraceFactory, the
+// trial's metrics registry) attached. Runners — including out-of-package
+// ones like parsed scenarios — must construct systems through this helper: a
 // direct core.NewSystem call would silently drop the trial out of traces and
 // the metrics registry.
 func (c Config) NewSystem(spec device.Spec, opts ...core.Option) *core.System {
@@ -21,10 +21,10 @@ func (c Config) NewSystem(spec device.Spec, opts ...core.Option) *core.System {
 		*c.faultSeq++
 		opts = append(opts, core.WithFaultPlan(c.Faults, faultSeed(c.Seed, n)))
 	}
-	if c.Trace == nil && c.reg == nil {
+	if c.tr == nil && c.reg == nil {
 		return core.NewSystem(spec, opts...)
 	}
-	return core.NewObservedSystem(c.Trace, c.reg, spec, opts...)
+	return core.NewObservedSystem(c.tr, c.reg, spec, opts...)
 }
 
 // WithFaultPlan returns a copy of c with the fault plan attached and the

@@ -23,7 +23,7 @@ func runTraced(t *testing.T) (*trace.Tracer, []byte) {
 	t.Helper()
 	cfg := traceQuick()
 	tr := trace.New()
-	cfg.Trace = tr
+	cfg.TraceFactory = func(string, int) *trace.Tracer { return tr }
 	cfg.Metrics = true
 	tab, err := experiments.RunTrial("fig3a", cfg, 0)
 	if err != nil {

@@ -36,7 +36,7 @@ func runArtifacts(t *testing.T, id string) (table, metrics, trc []byte) {
 	t.Helper()
 	cfg := poolQuick()
 	tr := trace.New()
-	cfg.Trace = tr
+	cfg.TraceFactory = func(string, int) *trace.Tracer { return tr }
 	cfg.Metrics = true
 	tab, err := experiments.RunTrial(id, cfg, 0)
 	if err != nil {

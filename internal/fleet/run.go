@@ -13,8 +13,6 @@ import (
 	"mobileqoe/internal/runlog"
 	"mobileqoe/internal/scenario"
 	"mobileqoe/internal/stats"
-	"mobileqoe/internal/telephony"
-	"mobileqoe/internal/video"
 	"mobileqoe/internal/webpage"
 )
 
@@ -136,30 +134,7 @@ func (r *Runner) runTuple(i int, sh *ShardResult) {
 	cfg = cfg.WithFaultPlan(r.plans[pi])
 	sys := cfg.NewSystem(r.devs[di], core.WithNetwork(r.nets[ni]))
 
-	var res core.Result
-	var err error
-	switch w.Kind {
-	case "page":
-		res, err = sys.Run(core.PageLoad{Page: page})
-	case "video":
-		clip := cfg.ClipDuration
-		if w.ClipS > 0 {
-			clip = time.Duration(w.ClipS * float64(time.Second))
-		}
-		res, err = sys.Run(core.VideoStream{Config: video.StreamConfig{Duration: clip}})
-	case "call":
-		dur := cfg.CallDuration
-		if w.CallS > 0 {
-			dur = time.Duration(w.CallS * float64(time.Second))
-		}
-		res, err = sys.Run(core.CallWorkload{Config: telephony.CallConfig{Duration: dur}})
-	default: // iperf
-		dur := cfg.IperfDuration
-		if w.IperfS > 0 {
-			dur = time.Duration(w.IperfS * float64(time.Second))
-		}
-		res, err = sys.Run(core.IperfWorkload{Duration: dur})
-	}
+	res, err := sys.Run(w.Build(cfg, page))
 
 	sh.Tuples++
 	if err != nil {

@@ -260,16 +260,6 @@ func (l *link) deliver(payload units.ByteSize, fn func()) {
 	l.s.PostAt(l.busyUntil+l.oneWay+l.inj.ExtraRTT()/2, fn)
 }
 
-// queueDelay reports how long a packet enqueued now would wait before
-// serialization begins.
-func (l *link) queueDelay() time.Duration {
-	d := l.busyUntil - l.s.Now()
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
 // ----- TCP connections -----
 
 // TCP parameters (Linux-ish defaults, simplified).
@@ -700,9 +690,6 @@ func (n *Network) RecvDatagram(payload units.ByteSize, fn func()) {
 		})
 	})
 }
-
-// DownlinkQueueDelay exposes the AP queue depth (used by adaptive senders).
-func (n *Network) DownlinkQueueDelay() time.Duration { return n.down.queueDelay() }
 
 // ----- iperf -----
 

@@ -38,8 +38,9 @@ func TestInvariantsHoldUnderFaultInjection(t *testing.T) {
 				ClipDuration:  5 * time.Second,
 				CallDuration:  2 * time.Second,
 				IperfDuration: time.Second,
-				Trace:         tr, Metrics: true,
-				Faults: fault.Default()}
+				TraceFactory:  func(string, int) *trace.Tracer { return tr },
+				Metrics:       true,
+				Faults:        fault.Default()}
 			tab, err := experiments.RunTrial(id, cfg, 0)
 			if err != nil {
 				t.Fatal(err)

@@ -28,7 +28,8 @@ func TestInvariantsHoldAcrossSuite(t *testing.T) {
 				ClipDuration:  5 * time.Second,
 				CallDuration:  2 * time.Second,
 				IperfDuration: time.Second,
-				Trace:         tr, Metrics: true}
+				TraceFactory:  func(string, int) *trace.Tracer { return tr },
+				Metrics:       true}
 			tab, err := experiments.RunTrial(id, cfg, 0)
 			if err != nil {
 				t.Fatal(err)

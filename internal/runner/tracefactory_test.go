@@ -3,6 +3,7 @@ package runner_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -97,21 +98,65 @@ func TestTraceFactoryPerTrialTracesMatchSequential(t *testing.T) {
 	}
 }
 
-// TestTraceFactoryOverridesTrace asserts the factory takes precedence over a
-// directly attached tracer, so harnesses can set both without double-writing.
-func TestTraceFactoryOverridesTrace(t *testing.T) {
+// TestTracesCombinedMatchesSharedTracer pins the collector qoesim builds its
+// one trace file from: per-attempt tracers on four workers, appended in cell
+// order, export the same bytes as one tracer shared by a sequential run. A
+// flaky attempt 0 emits its full trace before failing, so the retried cells
+// check that failed attempts land in the combined trace, in attempt order.
+func TestTracesCombinedMatchesSharedTracer(t *testing.T) {
+	restore := runner.SetCellFn(func(id string, cfg experiments.Config, trial, attempt int) (*experiments.Table, error) {
+		tab, err := experiments.RunTrialAttempt(id, cfg, trial, attempt)
+		if err == nil && trial == 1 && attempt == 0 {
+			return nil, errors.New("flaky first attempt")
+		}
+		return tab, err
+	})
+	defer restore()
+	ids := []string{"fig3d", "abl-hwdecoder"}
+	const trials = 3
+	cfg := quick()
+	cfg.Trials = trials
+
+	run := func(factory func(string, int) *trace.Tracer, parallel int) (retried int) {
+		c := cfg
+		c.TraceFactory = factory
+		res, err := runner.Run(context.Background(), ids, c, runner.Options{
+			Parallel: parallel, Retries: 1,
+			Stream: func(ev runner.Event) {
+				if ev.Attempt > 0 {
+					retried++
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+		return retried
+	}
 	shared := trace.New()
-	sink := newTracerSink()
-	cfg := experiments.Config{Seed: 1, Pages: 1, ClipDuration: 5 * time.Second,
-		CallDuration: 2 * time.Second, IperfDuration: time.Second,
-		Trace: shared, TraceFactory: sink.factory}
-	if _, err := experiments.RunTrial("fig3a", cfg, 0); err != nil {
+	if n := run(func(string, int) *trace.Tracer { return shared }, 1); n != len(ids) {
+		t.Fatalf("%d cells retried, want %d (one per experiment)", n, len(ids))
+	}
+	col := runner.NewTraces()
+	run(col.Factory, 4)
+
+	var want, got bytes.Buffer
+	if err := shared.WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(shared.Events()); n != 0 {
-		t.Errorf("shared tracer received %d events; factory should have replaced it", n)
+	if err := col.Combined(ids, trials).WriteJSON(&got); err != nil {
+		t.Fatal(err)
 	}
-	if got := sink.serialized(t, "fig3a", 0); len(got) == 0 {
-		t.Error("factory tracer is empty")
+	if shared.Len() == 0 {
+		t.Fatal("shared tracer is empty")
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("combined trace differs from the shared sequential one (%d vs %d bytes)",
+			got.Len(), want.Len())
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,11 +33,12 @@ import (
 	"mobileqoe/internal/telephony"
 	"mobileqoe/internal/units"
 	"mobileqoe/internal/video"
+	"mobileqoe/internal/webpage"
 )
 
 // Scenario is a validated, runnable sweep description.
 type Scenario struct {
-	// Name keys the registry entry ("scenario:<name>") and must be a
+	// Name keys the cell id ("scenario:<name>") and must be a
 	// lowercase slug so it composes with file names and CLI output.
 	Name string `json:"name"`
 	// ID is the table id; it defaults to Name. A scenario mirroring a
@@ -76,7 +78,9 @@ type Scenario struct {
 
 // Workload selects the application a cell runs and optionally overrides its
 // duration parameter. A duration set for a different kind is a validation
-// error — a typoed override must not be silently ignored.
+// error — a typoed override must not be silently ignored. Fleet specs
+// (internal/fleet) embed the same type, so both layers share one vocabulary,
+// one validator and one constructor.
 type Workload struct {
 	Kind   string  `json:"kind"`              // page | video | call | iperf
 	ClipS  float64 `json:"clip_s,omitempty"`  // video: clip duration override
@@ -199,8 +203,8 @@ func (s *Scenario) Validate() error {
 	if s.Trials < 0 {
 		return fmt.Errorf("scenario %s: trials %d is negative", s.Name, s.Trials)
 	}
-	if err := s.Workload.validate(s.Name); err != nil {
-		return err
+	if err := s.Workload.Validate(); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	if err := s.validateDevices(); err != nil {
 		return err
@@ -217,27 +221,49 @@ func (s *Scenario) Validate() error {
 	return validateSLO(s.Name, s.SLO)
 }
 
-func (w Workload) validate(name string) error {
+// Validate checks the kind and that duration overrides match it.
+func (w Workload) Validate() error {
 	switch w.Kind {
 	case "page", "video", "call", "iperf":
 	case "":
-		return fmt.Errorf("scenario %s: workload.kind is required (page|video|call|iperf)", name)
+		return errors.New("workload kind is required (page|video|call|iperf)")
 	default:
-		return fmt.Errorf("scenario %s: unknown workload.kind %q (want page|video|call|iperf)", name, w.Kind)
+		return fmt.Errorf("unknown workload kind %q (want page|video|call|iperf)", w.Kind)
 	}
 	if w.ClipS != 0 && w.Kind != "video" {
-		return fmt.Errorf("scenario %s: clip_s only applies to the video workload", name)
+		return errors.New("clip_s only applies to the video workload")
 	}
 	if w.CallS != 0 && w.Kind != "call" {
-		return fmt.Errorf("scenario %s: call_s only applies to the call workload", name)
+		return errors.New("call_s only applies to the call workload")
 	}
 	if w.IperfS != 0 && w.Kind != "iperf" {
-		return fmt.Errorf("scenario %s: iperf_s only applies to the iperf workload", name)
+		return errors.New("iperf_s only applies to the iperf workload")
 	}
 	if w.ClipS < 0 || w.CallS < 0 || w.IperfS < 0 {
-		return fmt.Errorf("scenario %s: workload durations must be positive", name)
+		return errors.New("workload durations must be positive")
 	}
 	return nil
+}
+
+// Build returns the core workload one cell runs: page loads p, and the
+// timed kinds take their duration from cfg unless the workload overrides it.
+func (w Workload) Build(cfg experiments.Config, p *webpage.Page) core.Workload {
+	override := func(d time.Duration, s float64) time.Duration {
+		if s > 0 {
+			return time.Duration(s * float64(time.Second))
+		}
+		return d
+	}
+	switch w.Kind {
+	case "page":
+		return core.PageLoad{Page: p}
+	case "video":
+		return core.VideoStream{Config: video.StreamConfig{Duration: override(cfg.ClipDuration, w.ClipS)}}
+	case "call":
+		return core.CallWorkload{Config: telephony.CallConfig{Duration: override(cfg.CallDuration, w.CallS)}}
+	default: // iperf
+		return core.IperfWorkload{Duration: override(cfg.IperfDuration, w.IperfS)}
+	}
 }
 
 func (s *Scenario) validateDevices() error {
@@ -359,8 +385,9 @@ func validGovernor(g string) bool {
 	return false
 }
 
-// RegistryID is the id the scenario registers under: "scenario:<name>",
-// namespaced so a file can never collide with a built-in figure id.
+// RegistryID is the scenario's cell id, "scenario:<name>": the id a plan
+// resolves to the scenario's runner, namespaced so a file can never collide
+// with a built-in figure id.
 func (s *Scenario) RegistryID() string { return "scenario:" + s.Name }
 
 // TableID is the id stamped on the produced table (ID, defaulting to Name).
@@ -369,17 +396,6 @@ func (s *Scenario) TableID() string {
 		return s.ID
 	}
 	return s.Name
-}
-
-// Register compiles the scenario into an experiments.Runner and adds it to
-// the registry under RegistryID, making it runnable through RunTrial and the
-// internal/runner pool exactly like a built-in. It returns the registry id.
-// Registering two scenarios with the same name panics, like any duplicate
-// registry id.
-func (s *Scenario) Register() string {
-	id := s.RegistryID()
-	experiments.Register(id, "Scenario: "+s.Title, s.Runner())
-	return id
 }
 
 // point is one expanded axis position: its row label and the device/options
@@ -505,54 +521,31 @@ func (s *Scenario) Runner() experiments.Runner {
 
 // measure runs the scenario's workload at one axis point and formats the row.
 func (s *Scenario) measure(cfg experiments.Config, pt point) ([]string, error) {
-	switch s.Workload.Kind {
-	case "page":
+	if s.Workload.Kind == "page" {
 		var agg stats.Sample
 		for _, p := range cfg.Corpus() {
-			sys := cfg.NewSystem(pt.spec, pt.opts...)
-			res, err := sys.Run(core.PageLoad{Page: p})
+			res, err := cfg.NewSystem(pt.spec, pt.opts...).Run(s.Workload.Build(cfg, p))
 			if err != nil {
 				return nil, err
 			}
 			agg.Add(res.Page.PLT.Seconds())
 		}
 		return []string{pt.label, experiments.FmtMeanStd(agg.Mean(), agg.Std())}, nil
+	}
+	res, err := cfg.NewSystem(pt.spec, pt.opts...).Run(s.Workload.Build(cfg, nil))
+	if err != nil {
+		return nil, err
+	}
+	switch s.Workload.Kind {
 	case "video":
-		clip := cfg.ClipDuration
-		if s.Workload.ClipS > 0 {
-			clip = time.Duration(s.Workload.ClipS * float64(time.Second))
-		}
-		sys := cfg.NewSystem(pt.spec, pt.opts...)
-		res, err := sys.Run(core.VideoStream{Config: video.StreamConfig{Duration: clip}})
-		if err != nil {
-			return nil, err
-		}
 		m := res.Video
 		return []string{pt.label, experiments.FmtSecs(m.StartupLatency),
 			fmt.Sprintf("%.3f", m.StallRatio), m.Rung.Name}, nil
 	case "call":
-		dur := cfg.CallDuration
-		if s.Workload.CallS > 0 {
-			dur = time.Duration(s.Workload.CallS * float64(time.Second))
-		}
-		sys := cfg.NewSystem(pt.spec, pt.opts...)
-		res, err := sys.Run(core.CallWorkload{Config: telephony.CallConfig{Duration: dur}})
-		if err != nil {
-			return nil, err
-		}
 		m := res.Call
 		return []string{pt.label, experiments.FmtSecs(m.SetupDelay),
 			experiments.FmtFPS(m.FrameRate), m.Resolution.Name}, nil
 	default: // iperf
-		dur := cfg.IperfDuration
-		if s.Workload.IperfS > 0 {
-			dur = time.Duration(s.Workload.IperfS * float64(time.Second))
-		}
-		sys := cfg.NewSystem(pt.spec, pt.opts...)
-		res, err := sys.Run(core.IperfWorkload{Duration: dur})
-		if err != nil {
-			return nil, err
-		}
 		return []string{pt.label, experiments.FmtMbps(res.Iperf.Throughput.Mbpsf())}, nil
 	}
 }

@@ -2,28 +2,28 @@ package scenario_test
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"mobileqoe/internal/experiments"
 	"mobileqoe/internal/scenario"
 )
 
-// The registry rejects duplicate ids, so the checked-in scenarios register
-// once per test binary no matter which test needs them first.
-var registerOnce sync.Once
-
-func registerTestdata(t *testing.T) {
+// runScenario loads a checked-in scenario and runs every trial of it
+// through RunTrialAttemptFn, the entry point Plan.Resolve-based harnesses
+// use, merging the trials exactly like experiments.Run does.
+func runScenario(t *testing.T, file string, cfg experiments.Config) *experiments.Table {
 	t.Helper()
-	registerOnce.Do(func() {
-		for _, f := range []string{"testdata/web_sweep.json", "testdata/video_sweep.json"} {
-			s, err := scenario.Load(f)
-			if err != nil {
-				t.Fatalf("load %s: %v", f, err)
-			}
-			s.Register()
+	s, err := scenario.Load(file)
+	if err != nil {
+		t.Fatalf("load %s: %v", file, err)
+	}
+	tabs := make([]*experiments.Table, cfg.WithDefaults().Trials)
+	for trial := range tabs {
+		if tabs[trial], err = experiments.RunTrialAttemptFn(s.RegistryID(), s.Runner(), cfg, trial, 0); err != nil {
+			t.Fatalf("%s trial %d: %v", file, trial, err)
 		}
-	})
+	}
+	return experiments.MergeTrials(tabs)
 }
 
 // TestWebSweepMatchesFig3a is the golden equivalence test for the tentpole:
@@ -31,16 +31,12 @@ func registerTestdata(t *testing.T) {
 // byte for byte — same systems, same seeds, same formatting — proving the
 // declarative layer and the legacy path are the same experiment.
 func TestWebSweepMatchesFig3a(t *testing.T) {
-	registerTestdata(t)
 	cfg := experiments.Config{Pages: 2}
 	want, err := experiments.Run("fig3a", cfg)
 	if err != nil {
 		t.Fatalf("fig3a: %v", err)
 	}
-	got, err := experiments.Run("scenario:web_sweep", cfg)
-	if err != nil {
-		t.Fatalf("scenario: %v", err)
-	}
+	got := runScenario(t, "testdata/web_sweep.json", cfg)
 	if got.String() != want.String() {
 		t.Fatalf("scenario table diverges from fig3a:\n--- fig3a ---\n%s\n--- scenario ---\n%s",
 			want.String(), got.String())
@@ -53,16 +49,12 @@ func TestWebSweepMatchesFig3a(t *testing.T) {
 // TestVideoSweepMatchesFig4a is the second golden pair: the video clock
 // sweep against the built-in fig4a.
 func TestVideoSweepMatchesFig4a(t *testing.T) {
-	registerTestdata(t)
 	cfg := experiments.Config{}
 	want, err := experiments.Run("fig4a", cfg)
 	if err != nil {
 		t.Fatalf("fig4a: %v", err)
 	}
-	got, err := experiments.Run("scenario:video_sweep", cfg)
-	if err != nil {
-		t.Fatalf("scenario: %v", err)
-	}
+	got := runScenario(t, "testdata/video_sweep.json", cfg)
 	if got.String() != want.String() {
 		t.Fatalf("scenario table diverges from fig4a:\n--- fig4a ---\n%s\n--- scenario ---\n%s",
 			want.String(), got.String())
@@ -72,12 +64,7 @@ func TestVideoSweepMatchesFig4a(t *testing.T) {
 // TestScenarioMultiTrialMerges checks a scenario behaves like a built-in
 // under the trial machinery: trials derive distinct seeds and merge.
 func TestScenarioMultiTrialMerges(t *testing.T) {
-	registerTestdata(t)
-	cfg := experiments.Config{Pages: 1, Trials: 2}
-	tab, err := experiments.Run("scenario:web_sweep", cfg)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	tab := runScenario(t, "testdata/web_sweep.json", experiments.Config{Pages: 1, Trials: 2})
 	if len(tab.Rows) == 0 {
 		t.Fatal("merged scenario table has no rows")
 	}

@@ -85,12 +85,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// LogNorm returns a log-normally distributed value parameterized by the
-// mu/sigma of the underlying normal.
-func (r *RNG) LogNorm(mu, sigma float64) float64 {
-	return math.Exp(r.Norm(mu, sigma))
-}
-
 // Pareto returns a bounded Pareto sample in [lo, hi] with shape alpha,
 // the canonical heavy-tailed model for web object sizes.
 func (r *RNG) Pareto(alpha, lo, hi float64) float64 {

@@ -64,10 +64,9 @@ func (e Event) End() time.Duration { return e.Ts + e.Dur }
 
 // Tracer collects events. The zero value of *Tracer (nil) is the no-op
 // default. A Tracer is safe for concurrent emission (a mutex guards the
-// buffer), but concurrent emitters interleave in completion order, so a
-// deterministic byte-identical trace additionally requires running the
-// emitting cells sequentially — which is what cmd/qoesim enforces for
-// -trace.
+// buffer), but concurrent emitters interleave in completion order. A
+// deterministic trace of concurrently run cells therefore gives each cell
+// its own tracer and joins them afterwards with Append, in cell order.
 type Tracer struct {
 	mu      sync.Mutex
 	events  []Event
@@ -105,6 +104,46 @@ func (t *Tracer) Thread(pid int, name string) int {
 	tid := t.nextTid[pid]
 	t.events = append(t.events, Event{Kind: KindMeta, Name: "thread_name", Pid: pid, Tid: tid, Meta: name})
 	return tid
+}
+
+// Append copies src's events after t's own, exactly as if src's emitters had
+// written to t: src's pids are renumbered past t's, and t's pid and tid
+// counters advance so later Process/Thread calls continue after them. Pid 0
+// (events emitted without a process) keeps its number; its thread lanes
+// move past t's own pid-0 lanes. A tracer shared by cells that ran one after
+// another therefore holds the same buffer — and exports the same bytes — as
+// the cells' own tracers appended in run order. A nil src appends nothing.
+func (t *Tracer) Append(src *Tracer) {
+	if t == nil || src == nil {
+		return
+	}
+	src.mu.Lock()
+	events, nextPid := src.events, src.nextPid
+	nextTid := make(map[int]int, len(src.nextTid))
+	for pid, n := range src.nextTid {
+		nextTid[pid] = n
+	}
+	src.mu.Unlock()
+
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	pidBase, tid0Base := t.nextPid, t.nextTid[0]
+	for _, e := range events {
+		if e.Pid != 0 {
+			e.Pid += pidBase
+		} else if e.Tid != 0 {
+			e.Tid += tid0Base
+		}
+		t.events = append(t.events, e)
+	}
+	for pid, n := range nextTid {
+		if pid == 0 {
+			t.nextTid[0] += n
+		} else {
+			t.nextTid[pid+pidBase] = n
+		}
+	}
+	t.nextPid += nextPid
 }
 
 // Span records a completed interval [start, end] on a lane. Timestamps are

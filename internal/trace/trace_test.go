@@ -207,3 +207,67 @@ func TestNilMetricsIsNoOp(t *testing.T) {
 		t.Error("nil metrics produced output")
 	}
 }
+
+// TestAppendMatchesSharedTracer pins Append's contract: cells that emit into
+// their own tracers, appended in run order, export the same bytes as one
+// tracer the cells shared while running one after another.
+func TestAppendMatchesSharedTracer(t *testing.T) {
+	device := func(name string) func(*Tracer) {
+		return func(tr *Tracer) {
+			pid := tr.Process(name)
+			cpu := tr.Thread(pid, "cpu:main")
+			net := tr.Thread(pid, "net:0")
+			tr.Span("cpu", "task", pid, cpu, 5*time.Millisecond, 9*time.Millisecond, Arg{"cycles", 2e6})
+			tr.Instant("netsim", "loss", pid, net, 7*time.Millisecond)
+			tr.Counter("cpu", "freq", pid, 0, 1512)
+		}
+	}
+	noProcess := func(tr *Tracer) {
+		lane := tr.Thread(0, "host")
+		tr.Span("sim", "steps", 0, lane, 0, 3*time.Millisecond)
+		tr.Instant("sim", "tick", 0, 0, time.Millisecond)
+	}
+	twoDevices := func(tr *Tracer) {
+		device("Nexus4")(tr)
+		device("Pixel2")(tr)
+	}
+	idle := func(*Tracer) {}
+	cases := []struct {
+		name  string
+		cells []func(*Tracer)
+	}{
+		{"one cell", []func(*Tracer){device("Nexus4")}},
+		{"two cells", []func(*Tracer){device("Nexus4"), device("Pixel2")}},
+		{"several processes per cell", []func(*Tracer){twoDevices, device("Intex"), twoDevices}},
+		{"pid 0 lanes", []func(*Tracer){noProcess, device("Nexus4"), noProcess}},
+		{"empty cell", []func(*Tracer){device("Nexus4"), idle, device("Pixel2")}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			shared := New()
+			combined := New()
+			for _, emit := range c.cells {
+				emit(shared)
+				own := New()
+				emit(own)
+				combined.Append(own)
+			}
+			// Emission after the appends continues the id sequences.
+			for _, tr := range []*Tracer{shared, combined} {
+				device("after")(tr)
+				noProcess(tr)
+				tr.Append(nil)
+			}
+			var want, got bytes.Buffer
+			if err := shared.WriteJSON(&want); err != nil {
+				t.Fatal(err)
+			}
+			if err := combined.WriteJSON(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("appended trace differs from the shared one\n--- shared ---\n%s--- appended ---\n%s", want.Bytes(), got.Bytes())
+			}
+		})
+	}
+}

@@ -28,8 +28,9 @@ func main() {
 		ClipDuration:  10 * time.Second,
 		CallDuration:  5 * time.Second,
 		IperfDuration: time.Second,
-		Trace:         trace.New(), // tracing on: the allocation-heaviest path
-		Metrics:       true,
+		// Tracing on: the allocation-heaviest path.
+		TraceFactory: func(string, int) *trace.Tracer { return trace.New() },
+		Metrics:      true,
 	}
 	if _, err := experiments.RunTrial("fig3a", cfg, 0); err != nil {
 		fmt.Fprintf(os.Stderr, "runtimestats: %v\n", err)
