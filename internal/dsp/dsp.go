@@ -90,7 +90,6 @@ type DSP struct {
 	cfg       Config
 	busyUntil time.Duration
 	calls     int64
-	busyTotal time.Duration
 	tid       int // trace lane, 0 when tracing is off
 
 	mCalls      *trace.Counter
@@ -122,24 +121,10 @@ func (d *DSP) Config() Config { return d.cfg }
 // Calls returns the number of served calls.
 func (d *DSP) Calls() int64 { return d.calls }
 
-// BusyTime returns total service time so far.
-func (d *DSP) BusyTime() time.Duration { return d.busyTotal }
-
 // ServiceTime returns the execution-only time for a call of the given Pike
 // step count (no RPC or queueing).
 func (d *DSP) ServiceTime(pikeSteps int64) time.Duration {
 	return units.DurationFor(float64(pikeSteps)*DSPCyclesPerStep, d.cfg.Freq)
-}
-
-// CallLatency returns the end-to-end latency a caller would observe for a
-// call issued now: RPC overhead, input marshaling, FIFO queueing behind
-// earlier calls, and service.
-func (d *DSP) CallLatency(pikeSteps int64, inputBytes int) time.Duration {
-	lat := d.rpcCost(inputBytes) + d.ServiceTime(pikeSteps)
-	if q := d.busyUntil - d.s.Now(); q > 0 {
-		lat += q
-	}
-	return lat
 }
 
 func (d *DSP) rpcCost(inputBytes int) time.Duration {
@@ -178,7 +163,6 @@ func (d *DSP) Call(pikeSteps int64, inputBytes int, done func()) {
 	service := d.ServiceTime(pikeSteps)
 	d.busyUntil = start + service
 	d.calls++
-	d.busyTotal += service
 	if d.cfg.Obs.Meter != nil {
 		m := d.cfg.Obs.Meter
 		d.s.PostAt(start, func() { m.SetPower("dsp", d.cfg.ActiveWatts) })

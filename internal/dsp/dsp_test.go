@@ -58,15 +58,21 @@ func TestFIFOQueueing(t *testing.T) {
 }
 
 func TestCallLatencyIncludesQueue(t *testing.T) {
-	s := sim.New()
-	d := New(s, Config{})
-	idle := d.CallLatency(1_000_000, 0)
-	d.Call(10_000_000, 0, nil) // occupy the DSP for 10 ms
-	queued := d.CallLatency(1_000_000, 0)
-	if queued <= idle {
-		t.Fatalf("queued latency %v should exceed idle %v", queued, idle)
+	latency := func(busySteps int64) time.Duration {
+		s := sim.New()
+		d := New(s, Config{})
+		if busySteps > 0 {
+			d.Call(busySteps, 0, nil) // occupy the DSP first
+		}
+		var doneAt time.Duration
+		d.Call(1_000_000, 0, func() { doneAt = s.Now() })
+		s.Run()
+		return doneAt
 	}
-	s.Run()
+	idle, queued := latency(0), latency(10_000_000) // 10M steps: 6.875 ms
+	if wait := queued - idle; (wait - 6875*time.Microsecond).Abs() > 10*time.Microsecond {
+		t.Fatalf("queued latency %v, idle %v: want ~6.875 ms of queueing", queued, idle)
+	}
 }
 
 func TestEnergyModelFourXCheaperThanCore(t *testing.T) {
@@ -129,11 +135,16 @@ func TestDefaults(t *testing.T) {
 func TestBusyTimeAccounting(t *testing.T) {
 	s := sim.New()
 	d := New(s, Config{})
+	var last time.Duration
 	d.Call(1_000_000, 0, nil)
-	d.Call(2_000_000, 0, nil)
+	d.Call(2_000_000, 0, func() { last = s.Now() })
 	s.Run()
+	// Back-to-back calls keep the DSP busy from the first request's arrival
+	// to the last response, so that span minus one RPC overhead is the
+	// summed service time.
+	busy := last - d.Config().RPCOverhead
 	want := time.Duration(3_000_000 * 0.55 / 800e6 * 1e9)
-	if diff := (d.BusyTime() - want).Abs(); diff > 10*time.Microsecond {
-		t.Fatalf("busy time = %v, want %v", d.BusyTime(), want)
+	if diff := (busy - want).Abs(); diff > 10*time.Microsecond {
+		t.Fatalf("busy time = %v, want %v", busy, want)
 	}
 }

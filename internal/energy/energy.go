@@ -7,7 +7,6 @@ package energy
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"mobileqoe/internal/trace"
@@ -91,25 +90,6 @@ func (m *Meter) Energy(name string) float64 {
 		return 0
 	}
 	return c.joules + c.watts*(m.now()-c.since).Seconds()
-}
-
-// TotalEnergy returns the total energy in joules across all components.
-func (m *Meter) TotalEnergy() float64 {
-	t := 0.0
-	for name := range m.comps {
-		t += m.Energy(name)
-	}
-	return t
-}
-
-// Components returns the known component names in sorted order.
-func (m *Meter) Components() []string {
-	names := make([]string, 0, len(m.comps))
-	for n := range m.comps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // VoltageCurve maps core clock frequency to supply voltage. Mobile SoCs run

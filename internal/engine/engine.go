@@ -712,7 +712,9 @@ func (e *Engine) Stats() Counters {
 }
 
 // PublishMetrics writes the engine counters and its result-cache stats into
-// a registry (use a fresh registry per scrape; counters accumulate).
+// a registry (use a fresh registry per scrape; counters accumulate). The
+// point-in-time QueueDepth and Running are gauges, so they are not here:
+// read them from Stats.
 func (e *Engine) PublishMetrics(m *trace.Metrics) {
 	s := e.Stats()
 	m.Counter("engine.requests").Add(float64(s.Submitted))
@@ -721,7 +723,5 @@ func (e *Engine) PublishMetrics(m *trace.Metrics) {
 	m.Counter("engine.completed").Add(float64(s.Completed))
 	m.Counter("engine.failed").Add(float64(s.Failed))
 	m.Counter("engine.rejected").Add(float64(s.Rejected))
-	m.Counter("engine.queue_depth").Add(float64(s.QueueDepth))
-	m.Counter("engine.running").Add(float64(s.Running))
 	cache.PublishStats(m, "engine.results", s.CacheStats)
 }

@@ -549,6 +549,13 @@ func TestPublishMetricsRendersClean(t *testing.T) {
 	if err := telemetry.Lint(text); err != nil {
 		t.Fatalf("exposition fails lint: %v", err)
 	}
+	// Queue depth and running jobs are gauges; the registry only has
+	// counters, so they must not appear here typed as counters.
+	for _, gauge := range []string{"mobileqoe_engine_queue_depth", "mobileqoe_engine_running"} {
+		if strings.Contains(text, gauge) {
+			t.Fatalf("exposition declares gauge %s as a counter:\n%s", gauge, text)
+		}
+	}
 }
 
 func TestFollowBufReplayAndFollow(t *testing.T) {

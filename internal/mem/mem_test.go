@@ -27,8 +27,8 @@ func TestSlowdownNoneWhenFits(t *testing.T) {
 	if s := m.Slowdown(900 * units.MB); s != 1 {
 		t.Fatalf("fitting working set slowed by %v", s)
 	}
-	if !m.Fits(900 * units.MB) {
-		t.Fatal("Fits should be true")
+	if p := m.Pressure(900 * units.MB); p > 1 {
+		t.Fatalf("fitting working set has pressure %v", p)
 	}
 }
 

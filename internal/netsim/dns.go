@@ -99,9 +99,3 @@ func (n *Network) dnsDone(name string, err error) {
 		w(err)
 	}
 }
-
-// FlushDNS clears the resolver cache (the paper's between-loads hygiene).
-func (n *Network) FlushDNS() {
-	n.dns.cache = nil
-	n.dns.pending = nil
-}

@@ -32,7 +32,7 @@ func TestConnectTakesAboutOneRTT(t *testing.T) {
 	if at < 10*time.Millisecond || at > 12*time.Millisecond {
 		t.Fatalf("handshake took %v, want ~RTT", at)
 	}
-	if !conn.Established() {
+	if !conn.established {
 		t.Fatal("not established")
 	}
 }
@@ -85,7 +85,7 @@ func TestRequestsAreFIFO(t *testing.T) {
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("order = %v", order)
 	}
-	if conn.PendingRequests() != 0 {
+	if len(conn.pending)+len(conn.actives) != 0 {
 		t.Fatal("requests left over")
 	}
 }

@@ -141,8 +141,9 @@ func CellFromEvent(ev runner.Event) Cell {
 	return c
 }
 
-// RuntimeSnapshot is the Go runtime block shared by health records and
-// scripts/runtimestats: GC and heap counters since process start.
+// RuntimeSnapshot is the Go runtime block shared by run-log health records
+// and the /metrics health families: GC and heap counters since process
+// start.
 type RuntimeSnapshot struct {
 	NumGC           uint32  `json:"num_gc"`
 	GCPauseTotalMS  float64 `json:"gc_pause_total_ms"`

@@ -134,12 +134,3 @@ func (e *Exemplars) Kept() []ExemplarCell {
 	defer e.mu.Unlock()
 	return append([]ExemplarCell(nil), e.kept...)
 }
-
-// Retained reports how many tracers the collector currently references
-// (kept + in-flight) — the memory-bound invariant tests pin this to ≤ K once
-// the run has drained.
-func (e *Exemplars) Retained() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.kept) + len(e.pending)
-}

@@ -9,3 +9,12 @@ func SetCellFn(fn func(id string, cfg experiments.Config, trial, attempt int) (*
 	cellFn = fn
 	return func() { cellFn = old }
 }
+
+// Retained reports how many tracers the collector currently references
+// (kept + in-flight); the memory-bound test pins this to ≤ K once the run
+// has drained.
+func (e *Exemplars) Retained() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.kept) + len(e.pending)
+}

@@ -218,6 +218,9 @@ func (s *Scenario) Validate() error {
 	if s.fixedSets(s.Axis.Param) {
 		return fmt.Errorf("scenario %s: config fixes %q, which is also the swept axis", s.Name, s.Axis.Param)
 	}
+	if err := s.validateHardware(); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.Name, err)
+	}
 	return validateSLO(s.Name, s.SLO)
 }
 
@@ -283,6 +286,53 @@ func (s *Scenario) validateDevices() error {
 	}
 	if _, ok := devices[s.Device]; !ok {
 		return fmt.Errorf("scenario %s: unknown device %q (want one of %v)", s.Name, s.Device, DeviceNames())
+	}
+	return nil
+}
+
+// HardwareError reports a clock or core count that a device cannot have:
+// the simulator models catalog hardware and does not extrapolate beyond it.
+type HardwareError struct {
+	Device   string  // catalog key
+	Param    string  // clock_mhz or cores
+	Value    float64 // the requested value
+	Min, Max float64 // the device's range
+}
+
+func (e *HardwareError) Error() string {
+	return fmt.Sprintf("%s %v is outside device %s's range [%v, %v]", e.Param, e.Value, e.Device, e.Min, e.Max)
+}
+
+// validateHardware checks every clock and core count the scenario would run
+// (fixed or swept) against every device it runs on.
+func (s *Scenario) validateHardware() error {
+	keys := s.Devices
+	if s.Device != "" {
+		keys = []string{s.Device}
+	}
+	clocks, cores := []float64{s.Config.ClockMHz}, []float64{float64(s.Config.Cores)}
+	switch s.Axis.Param {
+	case axisClock:
+		clocks = s.Axis.Values
+	case axisCores:
+		cores = s.Axis.Values
+	}
+	for _, k := range keys {
+		spec := devices[k]()
+		check := func(param string, vals []float64, lo, hi float64) error {
+			for _, v := range vals {
+				if v != 0 && (v < lo || v > hi) { // 0: the device's default
+					return &HardwareError{Device: k, Param: param, Value: v, Min: lo, Max: hi}
+				}
+			}
+			return nil
+		}
+		if err := check(axisClock, clocks, spec.MinFreq().MHz(), spec.MaxFreq().MHz()); err != nil {
+			return err
+		}
+		if err := check(axisCores, cores, 1, float64(spec.TotalCores())); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package scenario_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -93,10 +94,22 @@ func TestParseRejects(t *testing.T) {
 		"device axis clash": `{"name":"x","title":"t","device":"nexus4","devices":["pixel2"],"workload":{"kind":"page"},"axis":{"param":"device"}}`,
 		"axis vs fixed":     `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"clock_mhz","values":[384]},"config":{"clock_mhz":1512}}`,
 		"negative trials":   `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"clock_mhz","values":[384]},"trials":-1}`,
+		// Hardware the device cannot have: the Nexus 4 clocks 384-1512 MHz
+		// on 4 cores, and the Intex Amaze+ tops out at 1300 MHz.
+		"hw: clock below device": `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"clock_mhz","values":[1]}}`,
+		"hw: cores above device": `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"cores","values":[4096]}}`,
+		"hw: fixed clock":        `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"cores","values":[2]},"config":{"clock_mhz":2000}}`,
+		"hw: device axis clock":  `{"name":"x","title":"t","devices":["nexus4","intex"],"workload":{"kind":"page"},"axis":{"param":"device"},"config":{"clock_mhz":1512}}`,
 	}
 	for label, in := range cases {
-		if _, err := scenario.Parse([]byte(in)); err == nil {
+		_, err := scenario.Parse([]byte(in))
+		if err == nil {
 			t.Errorf("%s: Parse accepted %s", label, in)
+			continue
+		}
+		var hw *scenario.HardwareError
+		if strings.HasPrefix(label, "hw: ") && !errors.As(err, &hw) {
+			t.Errorf("%s: error %v is not a *scenario.HardwareError", label, err)
 		}
 	}
 }

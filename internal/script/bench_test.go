@@ -17,7 +17,7 @@ var result = blocked;
 `
 
 func BenchmarkTreeWalker(b *testing.B) {
-	prog := MustParse(benchSrc)
+	prog := mustParse(b, benchSrc)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		in := New(Config{})

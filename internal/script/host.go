@@ -73,23 +73,5 @@ func (h *CountingHost) ExecRegex(pattern, input string) (bool, int, int, error) 
 	return pr.Matched, pr.Start, pr.End, nil
 }
 
-// TotalBTSteps sums the CPU-engine steps across recorded calls.
-func (h *CountingHost) TotalBTSteps() int64 {
-	var t int64
-	for _, c := range h.Calls {
-		t += c.BTSteps
-	}
-	return t
-}
-
-// TotalPikeSteps sums the DSP-engine steps across recorded calls.
-func (h *CountingHost) TotalPikeSteps() int64 {
-	var t int64
-	for _, c := range h.Calls {
-		t += c.PikeSteps
-	}
-	return t
-}
-
 // Reset clears recorded calls (the pattern cache is kept).
 func (h *CountingHost) Reset() { h.Calls = h.Calls[:0] }

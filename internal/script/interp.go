@@ -79,17 +79,6 @@ func New(cfg Config) *Interp {
 // Stats returns cumulative execution statistics.
 func (in *Interp) Stats() Stats { return in.stats }
 
-// Global returns a global variable's value (nil when unset), letting tests
-// and workload builders inspect script results.
-func (in *Interp) Global(name string) Value {
-	v, _ := in.globals.get(name)
-	return v
-}
-
-// SetGlobal pre-sets a global (page scripts receive their input data this
-// way).
-func (in *Interp) SetGlobal(name string, v Value) { in.globals.vars[name] = v }
-
 // Run executes a program to completion.
 func (in *Interp) Run(p *Program) error {
 	_, err := in.execBlock(p.stmts, in.globals)

@@ -139,15 +139,6 @@ func Parse(src string) (*Program, error) {
 	return &Program{stmts: stmts, src: src}, nil
 }
 
-// MustParse is Parse that panics on error, for static workload scripts.
-func MustParse(src string) *Program {
-	p, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type parser struct {
 	toks []token
 	pos  int

@@ -9,10 +9,7 @@ import (
 // run executes src and returns the interpreter for inspection.
 func run(t *testing.T, src string) *Interp {
 	t.Helper()
-	p, err := Parse(src)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
+	p := mustParse(t, src)
 	in := New(Config{})
 	if err := in.Run(p); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -20,11 +17,27 @@ func run(t *testing.T, src string) *Interp {
 	return in
 }
 
+// mustParse parses src or fails the test.
+func mustParse(t testing.TB, src string) *Program {
+	t.Helper()
+	p, err := Parse(src)
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	return p
+}
+
+// global returns a global variable's value, nil when unset.
+func global(in *Interp, name string) Value {
+	v, _ := in.globals.get(name)
+	return v
+}
+
 func wantNum(t *testing.T, in *Interp, name string, want float64) {
 	t.Helper()
-	v, ok := in.Global(name).(float64)
+	v, ok := global(in, name).(float64)
 	if !ok {
-		t.Fatalf("%s = %T(%v), want number", name, in.Global(name), in.Global(name))
+		t.Fatalf("%s = %T(%v), want number", name, global(in, name), global(in, name))
 	}
 	if math.Abs(v-want) > 1e-9 {
 		t.Fatalf("%s = %v, want %v", name, v, want)
@@ -33,9 +46,9 @@ func wantNum(t *testing.T, in *Interp, name string, want float64) {
 
 func wantStr(t *testing.T, in *Interp, name, want string) {
 	t.Helper()
-	v, ok := in.Global(name).(string)
+	v, ok := global(in, name).(string)
 	if !ok || v != want {
-		t.Fatalf("%s = %v(%T), want %q", name, in.Global(name), in.Global(name), want)
+		t.Fatalf("%s = %v(%T), want %q", name, global(in, name), global(in, name), want)
 	}
 }
 
@@ -131,7 +144,7 @@ func TestFunctionsAndRecursion(t *testing.T) {
 	`)
 	wantNum(t, in, "f10", 55)
 	wantNum(t, in, "sum", 7)
-	if in.Global("nothing") != nil {
+	if global(in, "nothing") != nil {
 		t.Fatal("function without return should yield null")
 	}
 }
@@ -168,19 +181,19 @@ func TestRegexMethods(t *testing.T) {
 		var clean = url.replace("tracker\.js", "x.js");
 		var none = url.match("ftp");
 	`)
-	if v, _ := in.Global("isAd").(bool); !v {
+	if v, _ := global(in, "isAd").(bool); !v {
 		t.Fatal("isAd should be true")
 	}
 	wantStr(t, in, "proto", "https")
 	wantNum(t, in, "where", 12)
 	wantStr(t, in, "clean", "https://cdn.example.com/ads/x.js")
-	if in.Global("none") != nil {
+	if global(in, "none") != nil {
 		t.Fatal("non-match should yield null")
 	}
 }
 
 func TestCountingHostRecordsCalls(t *testing.T) {
-	p := MustParse(`
+	p := mustParse(t, `
 		var urls = ["http://a.com/x", "http://b.org/ads/y", "http://c.net/z"];
 		var hits = 0;
 		for (var i = 0; i < urls.length; i++) {
@@ -200,9 +213,6 @@ func TestCountingHostRecordsCalls(t *testing.T) {
 		if c.BTSteps <= 0 || c.PikeSteps <= 0 {
 			t.Fatalf("steps not recorded: %+v", c)
 		}
-	}
-	if host.TotalBTSteps() <= 0 || host.TotalPikeSteps() <= 0 {
-		t.Fatal("totals not positive")
 	}
 	host.Reset()
 	if len(host.Calls) != 0 {
@@ -227,7 +237,7 @@ func TestBuiltins(t *testing.T) {
 	`)
 	wantNum(t, in, "pi", 42)
 	wantNum(t, in, "neg", -7)
-	if v := in.Global("nan").(float64); !math.IsNaN(v) {
+	if v := global(in, "nan").(float64); !math.IsNaN(v) {
 		t.Fatalf("parseInt junk = %v, want NaN", v)
 	}
 	wantNum(t, in, "f", 3)
@@ -253,21 +263,21 @@ func TestTruthinessAndLogic(t *testing.T) {
 	wantStr(t, in, "a", "fallback")
 	wantStr(t, in, "b", "y")
 	wantNum(t, in, "c", 5)
-	if v, _ := in.Global("d").(bool); !v {
+	if v, _ := global(in, "d").(bool); !v {
 		t.Fatal("null == null")
 	}
-	if v, _ := in.Global("e").(bool); !v {
+	if v, _ := global(in, "e").(bool); !v {
 		t.Fatal("!null")
 	}
-	if v, _ := in.Global("f").(bool); !v {
+	if v, _ := global(in, "f").(bool); !v {
 		t.Fatal("chained comparison")
 	}
 }
 
 func TestSetGlobalInput(t *testing.T) {
-	p := MustParse(`var out = input.toUpperCase();`)
+	p := mustParse(t, `var out = input.toUpperCase();`)
 	in := New(Config{})
-	in.SetGlobal("input", "abc")
+	in.globals.vars["input"] = "abc"
 	if err := in.Run(p); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +285,7 @@ func TestSetGlobalInput(t *testing.T) {
 }
 
 func TestOpsBudget(t *testing.T) {
-	p := MustParse(`var i = 0; while (true) { i++; }`)
+	p := mustParse(t, `var i = 0; while (true) { i++; }`)
 	in := New(Config{MaxOps: 10000})
 	err := in.Run(p)
 	if err == nil {
@@ -284,7 +294,7 @@ func TestOpsBudget(t *testing.T) {
 }
 
 func TestCallDepthLimit(t *testing.T) {
-	p := MustParse(`function f(n) { return f(n+1); } var x = f(0);`)
+	p := mustParse(t, `function f(n) { return f(n+1); } var x = f(0);`)
 	in := New(Config{})
 	if err := in.Run(p); err == nil {
 		t.Fatal("unbounded recursion did not error")
@@ -382,7 +392,7 @@ func TestRealisticWorkload(t *testing.T) {
 	`
 	host := NewCountingHost()
 	in := New(Config{Host: host})
-	if err := in.Run(MustParse(src)); err != nil {
+	if err := in.Run(mustParse(t, src)); err != nil {
 		t.Fatal(err)
 	}
 	wantNum(t, in, "blocked", 14)
@@ -394,18 +404,9 @@ func TestRealisticWorkload(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParse of bad source did not panic")
-		}
-	}()
-	MustParse("var ;")
-}
-
 func TestProgramSource(t *testing.T) {
 	src := "var a = 1;"
-	if MustParse(src).Source() != src {
+	if mustParse(t, src).Source() != src {
 		t.Fatal("Source() mismatch")
 	}
 }
@@ -418,13 +419,13 @@ func TestStringIndexing(t *testing.T) {
 
 func TestDivisionEdgeCases(t *testing.T) {
 	in := run(t, `var inf = 1/0; var ninf = -1/0; var nan = 0 % 0;`)
-	if v := in.Global("inf").(float64); !math.IsInf(v, 1) {
+	if v := global(in, "inf").(float64); !math.IsInf(v, 1) {
 		t.Fatal("1/0 should be +Inf")
 	}
-	if v := in.Global("ninf").(float64); !math.IsInf(v, -1) {
+	if v := global(in, "ninf").(float64); !math.IsInf(v, -1) {
 		t.Fatal("-1/0 should be -Inf")
 	}
-	if v := in.Global("nan").(float64); !math.IsNaN(v) {
+	if v := global(in, "nan").(float64); !math.IsNaN(v) {
 		t.Fatal("0%0 should be NaN")
 	}
 }

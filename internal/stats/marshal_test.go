@@ -76,7 +76,7 @@ func TestHistSketchCanonicalBytes(t *testing.T) {
 	rng := NewRNG(11)
 	vals := make([]float64, 800)
 	for i := range vals {
-		vals[i] = rng.Norm(0, 1500)
+		vals[i] = rng.Range(-4500, 4500)
 	}
 	var one HistSketch
 	for _, v := range vals {

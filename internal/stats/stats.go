@@ -173,13 +173,6 @@ func NewCDF(s *Sample) *CDF {
 	return c
 }
 
-// Points returns the CDF's points in increasing x order.
-func (c *CDF) Points() []CDFPoint {
-	out := make([]CDFPoint, len(c.pts))
-	copy(out, c.pts)
-	return out
-}
-
 // At returns P(X <= x).
 func (c *CDF) At(x float64) float64 {
 	i := sort.Search(len(c.pts), func(i int) bool { return c.pts[i].X > x })

@@ -125,21 +125,25 @@ func RenderHealth(w io.Writer, prefix string, h Health) error {
 	if prefix == "" {
 		prefix = DefaultPrefix
 	}
-	emit := func(name, typ, help string, v float64) {
-		full := prefix + "_" + name
-		fmt.Fprintf(w, "# HELP %s %s\n", full, help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", full, typ)
-		fmt.Fprintf(w, "%s %s\n", full, num(v))
-	}
-	emit("run_cells_done", "gauge", "completed (experiment, trial) cells", float64(h.Done))
-	emit("run_cells_total", "gauge", "total cells in this run", float64(h.Total))
-	emit("run_elapsed_ms", "gauge", "wall time since the run started", h.ElapsedMS)
-	emit("go_gc_cycles_total", "counter", "completed GC cycles", float64(h.Runtime.NumGC))
-	emit("go_gc_pause_ms_total", "counter", "total GC pause time", h.Runtime.GCPauseTotalMS)
-	emit("go_heap_peak_bytes", "gauge", "peak heap memory obtained from the OS", float64(h.Runtime.PeakHeapBytes))
-	emit("go_alloc_bytes_total", "counter", "cumulative bytes allocated", float64(h.Runtime.AllocTotalBytes))
-	emit("go_heap_objects", "gauge", "live heap objects", float64(h.Runtime.HeapObjects))
+	Family(w, prefix, "run_cells_done", "gauge", "completed (experiment, trial) cells", float64(h.Done))
+	Family(w, prefix, "run_cells_total", "gauge", "total cells in this run", float64(h.Total))
+	Family(w, prefix, "run_elapsed_ms", "gauge", "wall time since the run started", h.ElapsedMS)
+	Family(w, prefix, "go_gc_cycles_total", "counter", "completed GC cycles", float64(h.Runtime.NumGC))
+	Family(w, prefix, "go_gc_pause_ms_total", "counter", "total GC pause time", h.Runtime.GCPauseTotalMS)
+	Family(w, prefix, "go_heap_peak_bytes", "gauge", "peak heap memory obtained from the OS", float64(h.Runtime.PeakHeapBytes))
+	Family(w, prefix, "go_alloc_bytes_total", "counter", "cumulative bytes allocated", float64(h.Runtime.AllocTotalBytes))
+	Family(w, prefix, "go_heap_objects", "gauge", "live heap objects", float64(h.Runtime.HeapObjects))
 	return nil
+}
+
+// Family writes one single-sample family, prefix_name, of type typ
+// ("gauge" for a point-in-time value such as a queue depth, "counter" for a
+// running total).
+func Family(w io.Writer, prefix, name, typ, help string, v float64) {
+	full := prefix + "_" + name
+	fmt.Fprintf(w, "# HELP %s %s\n", full, help)
+	fmt.Fprintf(w, "# TYPE %s %s\n", full, typ)
+	fmt.Fprintf(w, "%s %s\n", full, num(v))
 }
 
 // Lint validates exposition text against the v0.0.4 grammar and returns the

@@ -209,8 +209,10 @@ func TestOffloadSpeedsUpRegexHeavyScript(t *testing.T) {
 		if r.Type != JS || r.Profile.RegexShare() < 0.2 {
 			continue
 		}
-		cpu := r.Profile.ScriptTime(rate)
-		off := r.Profile.ScriptTimeOffloaded(rate, d)
+		// Offload leaves the plain cycles on the CPU and turns regex work
+		// into DSP wall time.
+		cpu := units.DurationFor(r.Profile.TotalCPUCycles(), units.Freq(rate))
+		off := units.DurationFor(r.Profile.PlainCycles(), units.Freq(rate)) + r.Profile.RegexDSPTime(d)
 		if off < cpu {
 			anyFaster = true
 		}

@@ -8,7 +8,6 @@
 package wprof
 
 import (
-	"sort"
 	"time"
 
 	"mobileqoe/internal/browser"
@@ -211,111 +210,6 @@ func (g *Graph) EPLT(opts EvalOptions) time.Duration {
 		}
 	}
 	return eplt
-}
-
-// Breakdown splits an emulated schedule's makespan by what was active at
-// each instant: network transfers only, compute only, or both overlapped.
-// Idle covers instants where nothing ran (zero in a work-conserving list
-// schedule, kept as a field so invariants can assert it). The four
-// components partition [0, ePLT], so they sum to the ePLT exactly.
-type Breakdown struct {
-	NetworkOnly time.Duration
-	ComputeOnly time.Duration
-	Overlap     time.Duration
-	Idle        time.Duration
-}
-
-// Total returns the sum of the components.
-func (b Breakdown) Total() time.Duration {
-	return b.NetworkOnly + b.ComputeOnly + b.Overlap + b.Idle
-}
-
-// EPLTBreakdown runs the same list schedule as EPLT and additionally sweeps
-// the resulting node intervals to decompose the makespan into
-// network-only/compute-only/overlap time — the reconciliation target for
-// the trace profiler's differential view ("is the gap the network or the
-// device?") and the subject of the package's property tests.
-func (g *Graph) EPLTBreakdown(opts EvalOptions) (time.Duration, Breakdown) {
-	if opts.EffectiveRate <= 0 {
-		panic("wprof: EffectiveRate must be positive")
-	}
-	type interval struct {
-		start, end time.Duration
-		network    bool
-	}
-	finish := make([]time.Duration, len(g.Nodes))
-	intervals := make([]interval, 0, len(g.Nodes))
-	var mainAvail, rasterAvail, eplt time.Duration
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		var start time.Duration
-		for _, d := range n.Deps {
-			if finish[d] > start {
-				start = finish[d]
-			}
-		}
-		switch {
-		case n.MainThread:
-			if mainAvail > start {
-				start = mainAvail
-			}
-		case n.Kind == browser.Decode:
-			if rasterAvail > start {
-				start = rasterAvail
-			}
-		}
-		end := start + g.NodeDuration(n, opts)
-		finish[i] = end
-		if n.MainThread {
-			mainAvail = end
-		} else if n.Kind == browser.Decode {
-			rasterAvail = end
-		}
-		if end > eplt {
-			eplt = end
-		}
-		if end > start {
-			intervals = append(intervals, interval{start, end, n.Kind == browser.Fetch})
-		}
-	}
-
-	// Boundary sweep: sort interval edges and keep running counts of active
-	// network and compute intervals between consecutive boundaries.
-	type edge struct {
-		t         time.Duration
-		net, comp int
-	}
-	edges := make([]edge, 0, 2*len(intervals))
-	for _, iv := range intervals {
-		if iv.network {
-			edges = append(edges, edge{iv.start, 1, 0}, edge{iv.end, -1, 0})
-		} else {
-			edges = append(edges, edge{iv.start, 0, 1}, edge{iv.end, 0, -1})
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].t < edges[j].t })
-	var b Breakdown
-	var activeNet, activeComp int
-	prev := time.Duration(0)
-	for _, e := range edges {
-		if d := e.t - prev; d > 0 {
-			switch {
-			case activeNet > 0 && activeComp > 0:
-				b.Overlap += d
-			case activeNet > 0:
-				b.NetworkOnly += d
-			case activeComp > 0:
-				b.ComputeOnly += d
-			default:
-				b.Idle += d
-			}
-			prev = e.t
-		}
-		activeNet += e.net
-		activeComp += e.comp
-	}
-	b.Idle += eplt - prev // trailing gap (only if the last event isn't ePLT)
-	return eplt, b
 }
 
 // ScriptStats summarizes per-script execution time under opts (Fig. 7a's
