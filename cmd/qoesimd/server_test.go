@@ -177,6 +177,7 @@ func TestServeRequestErrors(t *testing.T) {
 		"local path":     `{"scenario_path": "/etc/passwd"}`,
 		"fault ref file": `{"scenario": {"name": "f", "title": "t", "device": "nexus4", "workload": {"kind": "page"}, "axis": {"param": "clock_mhz", "values": [594]}, "fault_plan": "x.json"}}`,
 		"clock too low":  `{"scenario": {"name": "f", "title": "t", "device": "nexus4", "workload": {"kind": "page"}, "axis": {"param": "clock_mhz", "values": [1]}}}`,
+		"ram too large":  `{"scenario": {"name": "f", "title": "t", "device": "nexus4", "workload": {"kind": "page"}, "axis": {"param": "ram_mb", "values": [1024, 100000]}}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -249,7 +250,7 @@ func TestServeHealthAndMetricsEndpoints(t *testing.T) {
 		"mobileqoe_engine_requests",
 		"mobileqoe_cache_engine_results_hits",
 		"mobileqoe_cache_webpage_corpus_hits",
-		"mobileqoe_cache_script_programs_hits",
+		"mobileqoe_cache_webpage_profiles_hits",
 		"mobileqoe_run_elapsed_ms",
 		// Point-in-time values must be gauges, or rate() over them breaks.
 		"# TYPE mobileqoe_engine_queue_depth gauge\n",

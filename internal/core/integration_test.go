@@ -167,3 +167,48 @@ func TestZeroLengthWorkloads(t *testing.T) {
 		t.Fatal("tiny call did not set up")
 	}
 }
+
+// Metamorphic properties of the paper's device knobs, over random catalog
+// devices, page categories, seeds and clock pairs from the device's own
+// frequency table: a slower clock never loads a page faster, a 512 MB
+// squeeze never loads it faster than the installed RAM, and a slower clock
+// never moves more iperf bytes. Cores are left out: hotplug keeps the big
+// cluster online first, which inverts big.LITTLE placement (see ROADMAP).
+func TestDeviceKnobsMetamorphicProperty(t *testing.T) {
+	cats := webpage.Categories()
+	devices := device.Catalog()
+	f := func(seed uint64, devIdx, catIdx, a, b uint8) bool {
+		spec := devices[int(devIdx)%len(devices)]
+		cat := cats[int(catIdx)%len(cats)]
+		freqs := spec.Big.FreqTable()
+		lo, hi := freqs[int(a)%len(freqs)], freqs[int(b)%len(freqs)]
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		page := webpage.Generate("meta.example", cat, seed%1000)
+		plt := func(opts ...Option) time.Duration {
+			return NewSystem(spec, opts...).LoadPage(page).PLT
+		}
+		slow, fast := plt(WithClock(lo)), plt(WithClock(hi))
+		if slow < fast {
+			t.Logf("%s %s seed %d: PLT %v at %v < %v at %v", spec.Name, cat, seed%1000, slow, lo, fast, hi)
+			return false
+		}
+		squeezed, full := plt(WithClock(hi), WithRAM(512*units.MB)), fast
+		if squeezed < full {
+			t.Logf("%s %s seed %d: PLT %v at 512 MB < %v at %v", spec.Name, cat, seed%1000, squeezed, full, spec.RAM)
+			return false
+		}
+		iperf := func(f units.Freq) float64 {
+			return NewSystem(spec, WithClock(f)).Iperf(5 * time.Second).Throughput.Mbpsf()
+		}
+		if tl, th := iperf(lo), iperf(hi); tl > th {
+			t.Logf("%s: iperf %.2f Mbps at %v > %.2f at %v", spec.Name, tl, lo, th, hi)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}

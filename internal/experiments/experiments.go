@@ -358,20 +358,6 @@ func unknownErr(id string) error {
 
 // Formatting helpers shared by the runners.
 
-// FmtSecs, FmtFPS, FmtMbps, and FmtMeanStd expose the registry's cell
-// formatters to out-of-package runners (internal/scenario), so declarative
-// sweeps format byte-identically to the built-in figures they mirror.
-func FmtSecs(d time.Duration) string { return secs(d) }
-
-// FmtFPS formats a frame rate like the telephony figures.
-func FmtFPS(v float64) string { return fps(v) }
-
-// FmtMbps formats a throughput like fig6.
-func FmtMbps(v float64) string { return mbps(v) }
-
-// FmtMeanStd formats an aggregated sample like the web figures.
-func FmtMeanStd(m, s float64) string { return meanStd(m, s) }
-
 func secs(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()) }
 func ratio(v float64) string      { return fmt.Sprintf("%.2f", v) }
 func pct(v float64) string        { return fmt.Sprintf("%.1f%%", v*100) }

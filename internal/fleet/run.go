@@ -11,7 +11,6 @@ import (
 	"mobileqoe/internal/fault"
 	"mobileqoe/internal/netsim"
 	"mobileqoe/internal/runlog"
-	"mobileqoe/internal/scenario"
 	"mobileqoe/internal/stats"
 	"mobileqoe/internal/webpage"
 )
@@ -44,7 +43,7 @@ func (s *Spec) Compile() (*Runner, error) {
 	base := experiments.Config{Seed: s.Seed, Pages: s.Pages}.WithDefaults()
 	r := &Runner{spec: s, base: base, corpus: base.Corpus()}
 	for _, d := range s.DeviceMix {
-		spec, ok := scenario.DeviceSpec(d.Device)
+		spec, ok := experiments.DeviceSpec(d.Device)
 		if !ok {
 			return nil, fmt.Errorf("fleet %s: unknown device %q", s.Name, d.Device)
 		}

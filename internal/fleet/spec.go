@@ -34,8 +34,8 @@ import (
 	"regexp"
 	"strings"
 
+	"mobileqoe/internal/experiments"
 	"mobileqoe/internal/netsim"
-	"mobileqoe/internal/scenario"
 )
 
 // Spec is a declarative fleet: a population size, a shard partition, and
@@ -73,8 +73,8 @@ type Spec struct {
 	SourceSHA256 string `json:"-"`
 }
 
-// WeightedDevice is one device-mix entry; Device is a scenario catalog key
-// (scenario.DeviceNames).
+// WeightedDevice is one device-mix entry; Device is a catalog key
+// (experiments.DeviceNames).
 type WeightedDevice struct {
 	Device string `json:"device"`
 	Weight int    `json:"weight"`
@@ -87,10 +87,10 @@ type WeightedNetwork struct {
 	Weight int    `json:"weight"`
 }
 
-// WeightedWorkload is one workload entry: a scenario.Workload (kind plus
+// WeightedWorkload is one workload entry: an experiments.Workload (kind plus
 // per-kind duration overrides, inlined into the entry's JSON) and its weight.
 type WeightedWorkload struct {
-	scenario.Workload
+	experiments.Workload
 	Weight int `json:"weight"`
 }
 
@@ -186,9 +186,9 @@ func (s *Spec) Validate() error {
 	}
 	seen := map[string]bool{}
 	for _, d := range s.DeviceMix {
-		if _, ok := scenario.DeviceSpec(d.Device); !ok {
+		if _, ok := experiments.DeviceSpec(d.Device); !ok {
 			return fmt.Errorf("fleet %s: unknown device %q (want one of %s)",
-				s.Name, d.Device, strings.Join(scenario.DeviceNames(), ", "))
+				s.Name, d.Device, strings.Join(experiments.DeviceNames(), ", "))
 		}
 		if seen[d.Device] {
 			return fmt.Errorf("fleet %s: duplicate device %q", s.Name, d.Device)

@@ -18,8 +18,13 @@ import (
 // Config describes the memory subsystem.
 type Config struct {
 	RAM        units.ByteSize // total device RAM
-	OSReserved units.ByteSize // kernel + system services; default 300 MB
+	OSReserved units.ByteSize // kernel + system services; default DefaultOSReserved
 }
+
+// DefaultOSReserved is the RAM the kernel and system services keep when
+// Config.OSReserved is unset. A RAM capacity at or below it leaves nothing
+// for applications, so sweep validation refuses such capacities.
+const DefaultOSReserved = 300 * units.MB
 
 // Memory answers working-set pressure queries.
 type Memory struct {
@@ -39,7 +44,7 @@ func New(cfg Config) *Memory {
 		panic("mem: RAM must be positive")
 	}
 	if cfg.OSReserved == 0 {
-		cfg.OSReserved = 300 * units.MB
+		cfg.OSReserved = DefaultOSReserved
 	}
 	return &Memory{cfg: cfg}
 }

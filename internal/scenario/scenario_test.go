@@ -30,7 +30,7 @@ func runScenario(t *testing.T, file string, cfg experiments.Config) *experiments
 // TestWebSweepMatchesFig3a is the golden equivalence test for the tentpole:
 // the checked-in web_sweep scenario must reproduce the built-in fig3a table
 // byte for byte — same systems, same seeds, same formatting — proving the
-// declarative layer and the legacy path are the same experiment.
+// file format and the built-in fig3a declaration are the same experiment.
 func TestWebSweepMatchesFig3a(t *testing.T) {
 	cfg := experiments.Config{Pages: 2}
 	want, err := experiments.Run("fig3a", cfg)
@@ -100,6 +100,12 @@ func TestParseRejects(t *testing.T) {
 		"hw: cores above device": `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"cores","values":[4096]}}`,
 		"hw: fixed clock":        `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"cores","values":[2]},"config":{"clock_mhz":2000}}`,
 		"hw: device axis clock":  `{"name":"x","title":"t","devices":["nexus4","intex"],"workload":{"kind":"page"},"axis":{"param":"device"},"config":{"clock_mhz":1512}}`,
+		// RAM must exceed the OS reservation (300 MB) and fit the 2 GB the
+		// Nexus 4 has installed; the Intex Amaze+ has 1 GB.
+		"hw: ram at os reservation": `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"ram_mb","values":[300,1024]}}`,
+		"hw: ram above device":      `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"ram_mb","values":[1024,100000]}}`,
+		"hw: ram fixed":             `{"name":"x","title":"t","device":"nexus4","workload":{"kind":"page"},"axis":{"param":"clock_mhz","values":[384]},"config":{"ram_mb":4096}}`,
+		"hw: ram on device axis":    `{"name":"x","title":"t","devices":["nexus4","intex"],"workload":{"kind":"page"},"axis":{"param":"device"},"config":{"ram_mb":2048}}`,
 	}
 	for label, in := range cases {
 		_, err := scenario.Parse([]byte(in))
@@ -107,9 +113,14 @@ func TestParseRejects(t *testing.T) {
 			t.Errorf("%s: Parse accepted %s", label, in)
 			continue
 		}
-		var hw *scenario.HardwareError
-		if strings.HasPrefix(label, "hw: ") && !errors.As(err, &hw) {
-			t.Errorf("%s: error %v is not a *scenario.HardwareError", label, err)
+		if !strings.HasPrefix(label, "hw: ") {
+			continue
+		}
+		var hw *experiments.HardwareError
+		if !errors.As(err, &hw) {
+			t.Errorf("%s: error %v is not a *experiments.HardwareError", label, err)
+		} else if strings.HasPrefix(label, "hw: ram") && hw.Param != "ram_mb" {
+			t.Errorf("%s: error %v names %q, want ram_mb", label, err, hw.Param)
 		}
 	}
 }
